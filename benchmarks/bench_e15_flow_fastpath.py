@@ -16,7 +16,6 @@ E8/E12/E15 replays).
 """
 
 import json
-import time
 from pathlib import Path
 
 from repro.experiments.common import fmt_table
@@ -30,34 +29,13 @@ from repro.experiments.e15_flow_fastpath import (
     run_e15_churn,
     run_e15_planes,
 )
-from repro.sim import Simulator
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e15_flow_fastpath.json"
 CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR4.json"
 
 
-def _metered(fn, *args, **kwargs):
-    """Run ``fn`` and return (result, total events fired across every
-    simulator it built, wall seconds) — bench-local instrumentation."""
-    sims = []
-    orig_init = Simulator.__init__
-
-    def _tracking_init(self):
-        orig_init(self)
-        sims.append(self)
-
-    Simulator.__init__ = _tracking_init
-    t0 = time.perf_counter()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        Simulator.__init__ = orig_init
-    seconds = time.perf_counter() - t0
-    return result, sum(s.events_fired for s in sims), seconds
-
-
-def test_e15_flow_fastpath(once):
-    plane_rows, plane_events, plane_s = _metered(once, run_e15_planes, count=192)
+def test_e15_flow_fastpath(once, metered):
+    plane_rows, plane_events, plane_s = metered(once, run_e15_planes, count=192)
     print("\n" + fmt_table(plane_rows, columns=PLANE_COLUMNS))
     churn_rows = run_e15_churn(count=192)
     print("\n" + fmt_table(churn_rows, columns=CHURN_COLUMNS))
@@ -102,15 +80,15 @@ def test_e15_flow_fastpath(once):
     print(f"wrote {ARTIFACT}")
 
 
-def test_bench_pr4_consolidated(once):
+def test_bench_pr4_consolidated(once, metered):
     """One artifact comparing the replay cost of the suite's heavy
     experiments on this tree: events fired and wall seconds each."""
     entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
+    _, ev, s = metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
     entries["e8"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(e12.run_e12, count=160, batches=(1, 16, 64))
+    _, ev, s = metered(e12.run_e12, count=160, batches=(1, 16, 64))
     entries["e12"] = {"events": ev, "seconds": s}
-    rows, ev, s = _metered(once, run_e15_planes, count=192)
+    rows, ev, s = metered(once, run_e15_planes, count=192)
     entries["e15"] = {"events": ev, "seconds": s}
     entries["e15"]["kernel_cpu_speedup"] = next(
         r["cpu_speedup"] for r in rows if r["plane"] == "kernel"

@@ -24,9 +24,7 @@ cost into the default (knobs-off) path — fail. (Skipped when no
 baseline exists.)
 """
 
-import gc
 import json
-import time
 from pathlib import Path
 
 from repro.experiments import e8_connection_scaling as e8
@@ -40,7 +38,6 @@ from repro.experiments.e17_multi_tenant import (
 from repro.experiments.e21_fidelity_crossover import (
     run_parity as run_e21_parity,
 )
-from repro.sim import Simulator
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e17_multi_tenant.json"
 CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR8.json"
@@ -52,27 +49,6 @@ N_VICTIMS = 40
 VICTIM_COUNT = 25
 
 MAX_E8_REGRESSION = 0.10
-
-
-def _metered(fn, *args, **kwargs):
-    """Run ``fn`` and return (result, total events fired across every
-    simulator it built, wall seconds) — bench-local instrumentation."""
-    sims = []
-    orig_init = Simulator.__init__
-
-    def _tracking_init(self):
-        orig_init(self)
-        sims.append(self)
-
-    gc.collect()
-    Simulator.__init__ = _tracking_init
-    t0 = time.perf_counter()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        Simulator.__init__ = orig_init
-    seconds = time.perf_counter() - t0
-    return result, sum(s.events_fired for s in sims), seconds
 
 
 def _e17():
@@ -116,18 +92,18 @@ def test_e17_multi_tenant(once):
     print(f"wrote {ARTIFACT}")
 
 
-def test_bench_pr8_consolidated(once):
+def test_bench_pr8_consolidated(once, metered):
     """One artifact comparing the replay cost of the suite's heavy
     experiments on this tree — and the regression gate proving the
     tenant threading costs the exact (knobs-off) path nothing."""
     entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
+    _, ev, s = metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
     entries["e8"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e15_planes, count=192)
+    _, ev, s = metered(run_e15_planes, count=192)
     entries["e15"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e21_parity)
+    _, ev, s = metered(run_e21_parity)
     entries["e21"] = {"events": ev, "seconds": s}
-    result, ev, s = _metered(once, _e17)
+    result, ev, s = metered(once, _e17)
     h = result["headline"]
     entries["e17"] = {
         "events": ev, "seconds": s,

@@ -21,9 +21,7 @@ switch's forwarding loop and the Rack generalization must cost the
 default path nothing. (Skipped when no baseline exists.)
 """
 
-import gc
 import json
-import time
 from pathlib import Path
 
 from repro.experiments import e8_connection_scaling as e8
@@ -38,41 +36,12 @@ from repro.experiments.e23_rack_fastforward import (
     run_parity as run_e23_parity,
 )
 from repro.experiments.common import fmt_table
-from repro.sim import Simulator
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e18_cluster.json"
 CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR10.json"
 PR9_BASELINE = Path(__file__).parent / "artifacts" / "BENCH_PR9.json"
 
 MAX_E8_REGRESSION = 0.10
-
-
-def _metered(fn, *args, repeats=1, **kwargs):
-    """Run ``fn`` ``repeats`` times and return (result, total events fired
-    across every simulator one run built, best wall seconds) — bench-local
-    instrumentation. The event count is deterministic across repeats; the
-    wall clock is not, so regression-gated entries use best-of-N."""
-    best = None
-    for _ in range(repeats):
-        sims = []
-        orig_init = Simulator.__init__
-
-        def _tracking_init(self):
-            orig_init(self)
-            sims.append(self)
-
-        gc.collect()
-        Simulator.__init__ = _tracking_init
-        t0 = time.perf_counter()
-        try:
-            result = fn(*args, **kwargs)
-        finally:
-            Simulator.__init__ = orig_init
-        seconds = time.perf_counter() - t0
-        events = sum(s.events_fired for s in sims)
-        if best is None or seconds < best[2]:
-            best = (result, events, seconds)
-    return best
 
 
 def _e18():
@@ -137,19 +106,19 @@ def test_e18_cluster(once):
     print(f"wrote {ARTIFACT}")
 
 
-def test_bench_pr10_consolidated(once):
+def test_bench_pr10_consolidated(once, metered):
     """One artifact comparing the replay cost of the suite's heavy
     experiments on this tree — and the regression gate proving the
     balancer probe and the N-host Rack refactor cost the exact path
     nothing."""
     entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024),
+    _, ev, s = metered(e8.run_e8, sweep=(256, 1_024),
                         packets_per_point=4_096, repeats=5)
     entries["e8"] = {"events": ev, "seconds": s}
-    e23_parity, ev, s = _metered(run_e23_parity)
+    e23_parity, ev, s = metered(run_e23_parity)
     entries["e23"] = {"events": ev, "seconds": s,
                       "parity_ok": bool(e23_parity["ok"])}
-    (parity, rebalance), ev, s = _metered(once, _e18)
+    (parity, rebalance), ev, s = metered(once, _e18)
     entries["e18"] = {
         "events": ev, "seconds": s,
         "parity_ok": bool(parity["ok"]),

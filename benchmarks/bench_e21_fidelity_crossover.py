@@ -21,7 +21,6 @@ cost into the default path — fail. (Skipped when no baseline exists.)
 """
 
 import json
-import time
 from pathlib import Path
 
 from repro.experiments import e8_connection_scaling as e8
@@ -34,7 +33,6 @@ from repro.experiments.e21_fidelity_crossover import (
     run_parity,
     run_speedup,
 )
-from repro.sim import Simulator
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e21_fidelity_crossover.json"
 CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR6.json"
@@ -42,26 +40,6 @@ PR5_BASELINE = Path(__file__).parent / "artifacts" / "BENCH_PR5.json"
 
 MIN_SPEEDUP = 20.0
 MAX_E8_REGRESSION = 0.10
-
-
-def _metered(fn, *args, **kwargs):
-    """Run ``fn`` and return (result, total events fired across every
-    simulator it built, wall seconds) — bench-local instrumentation."""
-    sims = []
-    orig_init = Simulator.__init__
-
-    def _tracking_init(self):
-        orig_init(self)
-        sims.append(self)
-
-    Simulator.__init__ = _tracking_init
-    t0 = time.perf_counter()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        Simulator.__init__ = orig_init
-    seconds = time.perf_counter() - t0
-    return result, sum(s.events_fired for s in sims), seconds
 
 
 def _crossover():
@@ -105,18 +83,18 @@ def test_e21_fidelity_crossover(once):
     print(f"wrote {ARTIFACT}")
 
 
-def test_bench_pr6_consolidated(once):
+def test_bench_pr6_consolidated(once, metered):
     """One artifact comparing the replay cost of the suite's heavy
     experiments on this tree — and the regression gate proving the
     hybrid engine costs the exact path nothing."""
     entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
+    _, ev, s = metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
     entries["e8"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e15_planes, count=192)
+    _, ev, s = metered(run_e15_planes, count=192)
     entries["e15"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e16, count=192)
+    _, ev, s = metered(run_e16, count=192)
     entries["e16"] = {"events": ev, "seconds": s}
-    parity, ev, s = _metered(once, run_parity)
+    parity, ev, s = metered(once, run_parity)
     entries["e21"] = {
         "events": ev, "seconds": s,
         "parity_ok": bool(parity["ok"]),

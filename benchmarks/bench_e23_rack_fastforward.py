@@ -25,9 +25,7 @@ coordinator must cost the default path nothing. (Skipped when no
 baseline exists.)
 """
 
-import gc
 import json
-import time
 from pathlib import Path
 
 from repro.experiments import e8_connection_scaling as e8
@@ -42,7 +40,6 @@ from repro.experiments.e23_rack_fastforward import (
     run_crossover,
     run_parity,
 )
-from repro.sim import Simulator
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e23_rack_fastforward.json"
 CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR9.json"
@@ -65,29 +62,6 @@ MICRO_OPT_NOTE = {
     "end_to_end_ns_per_pkt": "~100k (two full stacks; unchanged within "
                              "noise)",
 }
-
-
-def _metered(fn, *args, **kwargs):
-    """Run ``fn`` and return (result, total events fired across every
-    simulator it built, wall seconds) — bench-local instrumentation."""
-    sims = []
-    orig_init = Simulator.__init__
-
-    def _tracking_init(self):
-        orig_init(self)
-        sims.append(self)
-
-    # The 10k-connection crossover leaves two full testbeds' cyclic object
-    # graphs behind; collect before metering so GC cost lands nowhere.
-    gc.collect()
-    Simulator.__init__ = _tracking_init
-    t0 = time.perf_counter()
-    try:
-        result = fn(*args, **kwargs)
-    finally:
-        Simulator.__init__ = orig_init
-    seconds = time.perf_counter() - t0
-    return result, sum(s.events_fired for s in sims), seconds
 
 
 def _e23():
@@ -145,18 +119,18 @@ def test_e23_rack_fastforward(once):
     print(f"wrote {ARTIFACT}")
 
 
-def test_bench_pr9_consolidated(once):
+def test_bench_pr9_consolidated(once, metered):
     """One artifact comparing the replay cost of the suite's heavy
     experiments on this tree — and the regression gate proving the
     switch/link fluid hooks cost the exact path nothing."""
     entries = {}
-    _, ev, s = _metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
+    _, ev, s = metered(e8.run_e8, sweep=(256, 1_024), packets_per_point=4_096)
     entries["e8"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e15_planes, count=192)
+    _, ev, s = metered(run_e15_planes, count=192)
     entries["e15"] = {"events": ev, "seconds": s}
-    _, ev, s = _metered(run_e21_parity)
+    _, ev, s = metered(run_e21_parity)
     entries["e21"] = {"events": ev, "seconds": s}
-    (parity, speedup), ev, s = _metered(once, _e23)
+    (parity, speedup), ev, s = metered(once, _e23)
     entries["e23"] = {
         "events": ev, "seconds": s,
         "parity_ok": bool(parity["ok"]),

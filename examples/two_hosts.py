@@ -9,21 +9,23 @@ Run:  python examples/two_hosts.py
 
 from repro.core import NormanOS
 from repro.dataplanes import BypassDataplane
-from repro.dataplanes.multihost import HOST_B_IP, TwoHostTestbed
+from repro.dataplanes.multihost import HostSpec, Rack
 from repro.net import PROTO_UDP
 from repro.sim import SimProcess
 from repro.tools import Ss, Tcpdump
 
 
 def main() -> None:
-    tb = TwoHostTestbed(BypassDataplane, NormanOS)
+    tb = Rack([HostSpec.indexed(0, "hostA", BypassDataplane),
+               HostSpec.indexed(1, "hostB", NormanOS)])
+    host_a, host_b = tb.hosts
 
-    client = tb.host_a.spawn("dpdk-client", "bob", core_id=1)
-    server = tb.host_b.spawn("kv-server", "charlie", core_id=1)
-    ep_c = tb.host_a.dataplane.open_endpoint(client, PROTO_UDP, 6000)
-    ep_s = tb.host_b.dataplane.open_endpoint(server, PROTO_UDP, 7000)
+    client = host_a.spawn("dpdk-client", "bob", core_id=1)
+    server = host_b.spawn("kv-server", "charlie", core_id=1)
+    ep_c = host_a.dataplane.open_endpoint(client, PROTO_UDP, 6000)
+    ep_s = host_b.dataplane.open_endpoint(server, PROTO_UDP, 7000)
 
-    dump_b = Tcpdump(tb.host_b.dataplane)
+    dump_b = Tcpdump(host_b.dataplane)
     session = dump_b.start("udp")
 
     def srv():
@@ -32,7 +34,7 @@ def main() -> None:
             yield ep_s.send(size // 2, dst=(src_ip, sport))
 
     def cli():
-        yield ep_c.connect(HOST_B_IP, 7000)
+        yield ep_c.connect(host_b.ip, 7000)
         for i in range(3):
             yield ep_c.send(400 + 100 * i)
             reply = yield ep_c.recv(blocking=True)
@@ -47,7 +49,7 @@ def main() -> None:
     print(dump_b.format(session))
 
     print("\n=== host B's ss ===")
-    print(Ss(tb.host_b.dataplane, tb.host_b.kernel)())
+    print(Ss(host_b.dataplane, host_b.kernel)())
     ep_s.close()
     tb.run_all()
 

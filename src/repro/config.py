@@ -178,21 +178,6 @@ class CostModel:
     """Pinned relative tolerance for E21's fidelity contract: fast-forwarded
     latency/attribution totals must match packet-level runs within this."""
 
-    ff_group: bool = True
-    """Coalesce promoted flows sharing (plane, chain-version-vector, profile
-    shape) into one :class:`FlowGroup` per shape: a single epoch event and a
-    single horizon timer charge N_flows × N_pkts, so the epoch machinery
-    costs O(groups) events instead of O(flows). Off reproduces PR6's
-    per-flow epoch charging (the E22 comparison baseline). Only meaningful
-    with :attr:`fast_forward`."""
-
-    ff_tx: bool = True
-    """Fast-forward TX-side schedules too: a steady single-packet sender
-    whose packets hit the TX verdict cache absorbs its app-timer → syscall
-    → doorbell chain into fluid epochs instead of firing per-packet events,
-    demoting at the same boundaries. Only meaningful with
-    :attr:`fast_forward`."""
-
     ff_cross_machine: bool = False
     """Fast-forward across the switch hop (experiment E23): a steady flow
     from host A through the L2 switch to host B is absorbed end-to-end in

@@ -119,7 +119,7 @@ class KopiNic:
         self.fallback_rx: Optional[FallbackRx] = None
         self.filter_point = None  # overlay InterpositionPoint, wired by the control plane
         self.ff_plane = None  # the owning NormanOS, wired when fast_forward is on
-        self.tx_ff_plane = None  # its TX surface, wired when ff_tx is also on
+        self.tx_ff_plane = None  # its TX surface, wired with it
 
         # Optional offloaded kernel functionality (§3: "per-connection
         # state, NAT, and everything else the kernel does today").

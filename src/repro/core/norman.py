@@ -101,9 +101,8 @@ class NormanOS(Dataplane):
         # verdict-cache events are wired machine-wide by Machine itself.)
         if machine.ff is not None:
             self.nic.ff_plane = self
-            if self.costs.ff_tx:
-                self.tx_ff = KopiTxFastForward(self)
-                self.nic.tx_ff_plane = self.tx_ff
+            self.tx_ff = KopiTxFastForward(self)
+            self.nic.tx_ff_plane = self.tx_ff
             self.nic.scheduler.backlog_demote_threshold = (
                 self.costs.ff_qdisc_backlog)
             self.nic.scheduler.on_backlog_pressure = machine.ff.on_qdisc_pressure
@@ -330,17 +329,16 @@ class KopiTxFastForward:
     verdict-cache hits in the NIC's drain loop; absorption happens one
     layer up, in :meth:`NormanEndpoint.send_burst`, where an absorbed send
     never even enters the ring. Epoch charging reuses the shared
-    :class:`~repro.dataplanes.base.Dataplane` bulk/group charge — the
-    surface carries the same ``name``/``machine`` contract, and its spans
-    land under the same plane tag so the E16 taxonomy stays one table.
+    :meth:`~repro.dataplanes.base.Dataplane.ff_charge` — the surface
+    carries the same ``name``/``machine`` contract, and its spans land
+    under the same plane tag so the E16 taxonomy stays one table.
     """
 
     name = NormanOS.name
 
-    # Plain function reuse: the shared epoch charges only touch
+    # Plain function reuse: the shared epoch charge only touches
     # self.machine / self.name, both of which this surface provides.
-    ff_bulk_charge = Dataplane.ff_bulk_charge
-    ff_group_charge = Dataplane.ff_group_charge
+    ff_charge = Dataplane.ff_charge
 
     def __init__(self, os: NormanOS):
         self._os = os

@@ -19,7 +19,6 @@ from .base import CaptureSession, Dataplane, Endpoint, QosConfig
 from .bypass import BypassDataplane
 from .hypervisor import HypervisorDataplane
 from .kernel_path import KernelPathDataplane
-from .multihost import TwoHostTestbed
 from .sidecar import SidecarDataplane
 from .testbed import Testbed, TrafficPeer
 
@@ -34,5 +33,4 @@ __all__ = [
     "SidecarDataplane",
     "Testbed",
     "TrafficPeer",
-    "TwoHostTestbed",
 ]

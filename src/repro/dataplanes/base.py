@@ -21,7 +21,7 @@ from ..errors import UnsupportedOperation
 from ..kernel.netfilter import NetfilterRule
 from ..net.addresses import IPv4Address
 from ..net.packet import Packet
-from ..sim import Signal
+from ..sim import FlowProfile, Signal
 
 Message = Tuple[int, IPv4Address, int]  # (payload_len, src_ip, sport)
 PacketFilter = Callable[[Packet], bool]
@@ -224,48 +224,69 @@ class Dataplane:
         return []
 
     # --- hybrid fidelity (flow-level fast-forward, experiment E21) ---------
+    #
+    # A plane opts in by filling in the RX template below: ``_ff_target``
+    # (the cached verdict and what it delivers to), ``_ff_spans`` (the
+    # frozen per-packet shape) and, when fluid epochs land somewhere,
+    # ``_ff_deliver``. The default target is None — an honest refusal.
+
+    def _ff_target(self, flow):
+        """``(entry, target)`` — the live cached verdict-cache entry for
+        ``flow`` (not a drop) and the socket/endpoint it delivers to — or
+        None when any part of the chain is not steady-state."""
+        return None
+
+    def _ff_capturing(self) -> bool:
+        """Whether a capture needs to see individual packets right now."""
+        return False
+
+    def _ff_spans(self, target, pkt):
+        """``(core_id, spans)``: the core one steady-state packet charges
+        and its ``(stage, ns, cpu, label)`` span tuple."""
+        raise UnsupportedOperation(f"{self.name}: no fast-forward profile")
+
+    def _ff_deliver(self, flow, pkt, entry, target):
+        """The ``deliver(n)`` closure replaying N packets' side effects,
+        or None when fluid epochs are charged but not delivered."""
+        return None
 
     def ff_eligible(self, flow) -> bool:
         """Whether ``flow`` is in a steady state this plane can fluid-
-        approximate: its composed RX verdict sits live in the flow fast
-        path under the current policy epoch and nothing per-packet-
-        interesting (a capture, a NAT rewrite, a fallback path) is
-        attached. The default is an honest ``False`` — a plane must opt in
-        by overriding, and must then also implement :meth:`ff_profile`."""
-        return False
+        approximate: its RX verdict sits live in the flow fast path under
+        the current policy epoch, it delivers to an open target, and no
+        capture needs per-packet visibility."""
+        if self._ff_capturing():
+            return False
+        return self._ff_target(flow) is not None
 
     def ff_profile(self, flow, pkt):
         """Capture the frozen per-packet cost shape of ``flow``'s steady
         state as a :class:`~repro.sim.fastforward.FlowProfile` (or ``None``
         to refuse promotion after all). ``pkt`` is the packet whose exact
         simulation just completed — the template the profile freezes."""
-        raise UnsupportedOperation(f"{self.name}: no fast-forward profile")
+        found = self._ff_target(flow)
+        if found is None:
+            return None
+        entry, target = found
+        core_id, spans = self._ff_spans(target, pkt)
+        return FlowProfile(
+            spans, core_id=core_id, wire_len=pkt.wire_len,
+            payload_len=pkt.payload_len, src_ip=flow.src_ip, sport=flow.sport,
+            deliver=self._ff_deliver(flow, pkt, entry, target),
+            versions=entry.versions,
+        )
 
-    def ff_bulk_charge(self, flow, n: int, profile) -> None:
-        """Charge one ``FlowEpoch``: ``n`` packets of ``flow`` at the
-        frozen per-packet ``profile``, as one event. The trace spine gets
-        a count-weighted epoch (so the E16 taxonomy still sums exactly),
-        the profile's core absorbs ``n ×`` its per-packet CPU share, and
-        the plane-supplied ``deliver`` closure replays every remaining
-        side effect N exact packets would have had. Planes needing more
-        than this shared shape override and extend."""
+    def ff_charge(self, members, total_n: int, profile) -> None:
+        """Charge one epoch: ``total_n`` packets spread over ``members``
+        (``(flow, n, profile)`` triples sharing this plane, chain-version-
+        vector, and span shape) as ONE event. The trace spine gets a single
+        count-weighted epoch (so the E16 taxonomy still sums exactly) and
+        the shared core one bulk execute — CPU busy time is additive, so
+        coalescing is exact — while each member's ``deliver`` closure
+        replays its own connection-scoped side effects (counters, credit,
+        conntrack). A demoting flow's residue flush is the one-member
+        call."""
         machine = self.machine  # every concrete plane holds its Machine
-        machine.tracer.epoch(n, profile.spans, plane=self.name)
-        if profile.cpu_ns:
-            machine.cpus[profile.core_id].execute(
-                n * profile.cpu_ns, "ff_epoch")
-        if profile.deliver is not None:
-            profile.deliver(n)
-
-    def ff_group_charge(self, members, total_n: int, profile) -> None:
-        """Charge one *group* epoch: ``total_n`` packets spread over
-        ``members`` (``(flow, n, profile)`` triples sharing this plane,
-        chain-version-vector, and span shape) as ONE event. The trace
-        spine gets a single count-weighted epoch and the shared core one
-        bulk execute — CPU busy time is additive, so coalescing is exact —
-        while each member's ``deliver`` closure still replays its own
-        connection-scoped side effects (counters, credit, conntrack)."""
-        machine = self.machine
         machine.tracer.epoch(total_n, profile.spans, plane=self.name)
         if profile.cpu_ns:
             machine.cpus[profile.core_id].execute(

@@ -7,12 +7,13 @@ so experiments can exercise genuine end-to-end paths: a Norman host
 serving a bypass host, attributed captures of cross-host RPC, switch MAC
 learning, and so on.
 
-:class:`Rack` is the general form: N backends, optionally fronted by the
-switch's in-network L4 load balancer (``CostModel.cluster_lb``) and a live
-flow-migration coordinator (``CostModel.flow_migration``).
-:class:`TwoHostTestbed` is the original two-host shape, kept as a thin
-:class:`Rack` with exactly two hosts — same construction order, same
-event trace.
+:class:`Rack` holds N hosts, optionally fronted by the switch's
+in-network L4 load balancer (``CostModel.cluster_lb``) and a live
+flow-migration coordinator (``CostModel.flow_migration``). Two hosts are
+just a two-entry rack::
+
+    Rack([HostSpec.indexed(0, "hostA", NormanOS),
+          HostSpec.indexed(1, "hostB", NormanOS)])
 """
 
 from __future__ import annotations
@@ -31,12 +32,6 @@ from ..net.switch import L2Switch
 from ..sim import Simulator
 from ..sim.fastforward import RackFastForward
 from .base import Dataplane
-
-HOST_A_IP = IPv4Address.parse("10.0.0.1")
-HOST_A_MAC = MacAddress.from_index(1)
-HOST_B_IP = IPv4Address.parse("10.0.0.2")
-HOST_B_MAC = MacAddress.from_index(2)
-
 
 def rack_ip(index: int) -> IPv4Address:
     """Default address plan: host ``index`` (0-based) is ``10.0.0.{i+1}``."""
@@ -135,8 +130,8 @@ class HostStack:
 class Rack:
     """N hosts on one switch, each possibly running a different dataplane.
 
-    With the cluster knobs off this is exactly the multi-host wiring the
-    two-host testbed always did, generalized to N. ``cluster_lb`` grows
+    With the cluster knobs off this is plain multi-host wiring: every host
+    on one switch, each knowing every other's address. ``cluster_lb`` grows
     the switch's L4 balancer stage (:meth:`add_vip` installs services);
     ``flow_migration`` additionally builds the migration coordinator
     (:meth:`migrate` moves a live flow between backends).
@@ -253,38 +248,3 @@ class Rack:
     def run_all(self, max_events: int = 10_000_000) -> int:
         return self.sim.run_until_idle(max_events=max_events)
 
-
-class TwoHostTestbed(Rack):
-    """Host A and host B on one switch, possibly running different
-    dataplanes — the original two-host shape, now a two-entry
-    :class:`Rack`."""
-
-    __test__ = False
-
-    def __init__(
-        self,
-        plane_a: Type[Dataplane],
-        plane_b: Type[Dataplane],
-        costs: CostModel = DEFAULT_COSTS,
-        n_cores: int = 4,
-        link_rate_bps: Optional[int] = None,
-        plane_a_kwargs: Optional[dict] = None,
-        plane_b_kwargs: Optional[dict] = None,
-    ):
-        super().__init__(
-            [
-                HostSpec("hostA", plane_a, HOST_A_IP, HOST_A_MAC,
-                         dict(plane_a_kwargs or {})),
-                HostSpec("hostB", plane_b, HOST_B_IP, HOST_B_MAC,
-                         dict(plane_b_kwargs or {})),
-            ],
-            costs=costs, n_cores=n_cores, link_rate_bps=link_rate_bps,
-        )
-
-    @property
-    def host_a(self) -> HostStack:
-        return self.hosts[0]
-
-    @property
-    def host_b(self) -> HostStack:
-        return self.hosts[1]

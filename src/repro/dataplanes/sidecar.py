@@ -510,11 +510,14 @@ class SidecarDataplane(Dataplane):
 
     # --- hybrid fidelity ---------------------------------------------------
     #
-    # The sidecar exposes the predicate/profile contract; fluid delivery
+    # The sidecar fills in the Dataplane RX template; fluid delivery
     # into its hand-off rings is not wired — only KOPI receives fluidly.
     # Promotion here goes through the controller API (the fidelity tests).
 
-    def _ff_endpoint(self, flow):
+    def _ff_target(self, flow):
+        """Steady state on the sidecar: the INPUT-chain verdict for
+        (flow, owner) is cached live and not a drop. (No capture session
+        may need per-packet visibility: :meth:`_ff_capturing`.)"""
         fp = self.machine.fastpath
         if fp is None:
             return None
@@ -524,35 +527,17 @@ class SidecarDataplane(Dataplane):
         entry = fp.peek(CHAIN_INPUT, flow, ep.proc.pid)
         if entry is None or entry.verdict == DROP:
             return None
-        return ep
+        return entry, ep
 
-    def ff_eligible(self, flow) -> bool:
-        """Steady state on the sidecar: the INPUT-chain verdict for
-        (flow, owner) is cached live and not a drop, and no capture session
-        needs per-packet visibility."""
-        if self._captures:
-            return False
-        return self._ff_endpoint(flow) is not None
+    def _ff_capturing(self) -> bool:
+        return bool(self._captures)
 
-    def ff_profile(self, flow, pkt):
-        from ..sim.fastforward import FlowProfile
-
-        ep = self._ff_endpoint(flow)
-        if ep is None:
-            return None
-        fp = self.machine.fastpath
-        costs = self.costs
+    def _ff_spans(self, ep, pkt):
         x_core = self.machine.coherence.transfer_cost_ns(
             pkt.wire_len + 64, self.sidecar_core_id, ep.proc.core_id
         )
-        spans = (
-            (STAGE_RING, costs.bypass_rx_pkt_ns, True, "sidecar_rx"),
-            (STAGE_FASTPATH, fp.hit_ns, True, "input_chain"),
+        return self.sidecar_core_id, (
+            (STAGE_RING, self.costs.bypass_rx_pkt_ns, True, "sidecar_rx"),
+            (STAGE_FASTPATH, self.machine.fastpath.hit_ns, True, "input_chain"),
             (STAGE_COHERENCE, x_core, True, "x_core"),
-        )
-        entry = fp.peek(CHAIN_INPUT, flow, ep.proc.pid)
-        return FlowProfile(
-            spans, core_id=self.sidecar_core_id, wire_len=pkt.wire_len,
-            payload_len=pkt.payload_len, src_ip=flow.src_ip, sport=flow.sport,
-            versions=entry.versions if entry is not None else (),
         )

@@ -89,7 +89,7 @@ def _parity_costs(costs: CostModel, n_flows: int) -> CostModel:
         smartnic_sram_bytes=max(
             costs.smartnic_sram_bytes, 8 * n_flows * costs.conn_state_bytes),
         rx_ring_entries=2_048, tx_ring_entries=2_048,
-        fast_forward=True, ff_tx=True, ff_promote_after=2,
+        fast_forward=True, ff_promote_after=2,
         cluster_lb=True, flow_migration=True,
     )
 

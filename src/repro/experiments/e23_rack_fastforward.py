@@ -1,16 +1,16 @@
 """E23 — rack-scale fast-forward: end-to-end fluid epochs across the
 switch hop.
 
-Before this PR a cross-host flow on the :class:`TwoHostTestbed` demoted to
-packet-exact the moment it touched the wire: host B's RX side could go
-fluid (PR 6), but every send still ran host A's full TX chain, the uplink,
+Per-host fast-forward alone demotes a cross-host flow between two rack
+hosts to packet-exact the moment it touches the wire: host B's RX side can
+go fluid, but every send still runs host A's full TX chain, the uplink,
 the switch, and the downlink as discrete events. With
 ``CostModel.ff_cross_machine`` a :class:`~repro.sim.fastforward.RackFastForward`
-coordinator binds the sender's TX profile (PR 7), the switch-hop wire
-span, and the receiver's RX profile into one end-to-end
-:class:`~repro.sim.fastforward.CrossMachineFlow`: promotion waits until
-*both* stacks' verdict caches are steady and the switch path is frozen
-(learned port, no match-action rules), and either side's demotion
+coordinator composes the sender's TX profile with the switch-hop wire
+span at promotion and binds it to the receiver's RX profile as one
+end-to-end :class:`~repro.sim.fastforward.CrossMachineFlow`: promotion
+waits until *both* stacks' verdict caches are steady and the switch path
+is frozen (learned port, no match-action rules), and either side's demotion
 boundary — or any switch-state change — demotes the whole flow before the
 boundary's effect is simulated. Two legs defend it:
 
@@ -43,11 +43,7 @@ from typing import Dict, List, Optional
 
 from ..config import DEFAULT_COSTS, CostModel
 from ..core import NormanOS
-from ..dataplanes.multihost import (
-    HOST_A_IP,
-    HOST_B_IP,
-    TwoHostTestbed,
-)
+from ..dataplanes.multihost import HostSpec, Rack, rack_ip
 from ..host.copies import LAYER_DMA, LAYER_DMA_DIRECT
 from ..net.flow import FiveTuple
 from ..net.headers import PROTO_UDP
@@ -65,6 +61,8 @@ CROSS_ROUNDS = 4
 PROBE_CONNS = 512
 PROBE_ROUNDS = 2
 
+#: Host A (the sender) and host B (the receiver) on the rack address plan.
+A_IP, B_IP = rack_ip(0), rack_ip(1)
 #: Port pools: B listens, A sends from its own bound ports.
 B_PORT_BASE = 2_000
 A_PORT_BASE = 22_000
@@ -101,41 +99,44 @@ def _hybrid_costs(costs: CostModel, n_conns: int, cross: bool) -> CostModel:
         smartnic_sram_bytes=max(
             costs.smartnic_sram_bytes, 2 * n_conns * costs.conn_state_bytes),
         rx_ring_entries=2_048, tx_ring_entries=2_048,
-        fast_forward=True, ff_tx=True, ff_cross_machine=cross,
+        fast_forward=True, ff_cross_machine=cross,
     )
 
 
 def _rack_testbed(n_conns: int, costs: CostModel,
-                  n_cores: int = 4) -> TwoHostTestbed:
+                  n_cores: int = 4) -> Rack:
     """Two Norman hosts on one switch, ``n_conns`` A→B connections, and
     the switch taught where B lives (one B→A packet — the ARP-reply
     analogue; without it every A→B frame floods and no switch path is
     ever frozen). Identical in every leg, so it cancels in parity."""
-    tb = TwoHostTestbed(NormanOS, NormanOS, costs=costs, n_cores=n_cores)
+    tb = Rack([HostSpec.indexed(0, "hostA", NormanOS),
+               HostSpec.indexed(1, "hostB", NormanOS)],
+              costs=costs, n_cores=n_cores)
+    host_a, host_b = tb.hosts
     app_cores = list(range(1, n_cores))
-    a_procs = [tb.host_a.spawn(f"cli{c}", "bob", core_id=c)
+    a_procs = [host_a.spawn(f"cli{c}", "bob", core_id=c)
                for c in app_cores]
-    b_procs = [tb.host_b.spawn(f"srv{c}", "carol", core_id=c)
+    b_procs = [host_b.spawn(f"srv{c}", "carol", core_id=c)
                for c in app_cores]
     a_eps = [
-        tb.host_a.dataplane.open_endpoint(
+        host_a.dataplane.open_endpoint(
             a_procs[i % len(a_procs)], PROTO_UDP, A_PORT_BASE + i)
         for i in range(n_conns)
     ]
     b_eps = [
-        tb.host_b.dataplane.open_endpoint(
+        host_b.dataplane.open_endpoint(
             b_procs[i % len(b_procs)], PROTO_UDP, B_PORT_BASE + i)
         for i in range(n_conns)
     ]
     tb.run_all()
-    b_eps[0].send(64, (HOST_A_IP, A_PORT_BASE))
+    b_eps[0].send(64, (A_IP, A_PORT_BASE))
     tb.run_all()
     tb._e23_a_eps = a_eps  # type: ignore[attr-defined]
     tb._e23_b_eps = b_eps  # type: ignore[attr-defined]
     return tb
 
 
-def _send_round(tb: TwoHostTestbed, a_eps, per_conn: int,
+def _send_round(tb: Rack, a_eps, per_conn: int,
                 subset=None) -> int:
     """Schedule ``per_conn`` spaced single-packet sends from every A
     endpoint (or a subset) toward its B counterpart. Returns the number
@@ -146,12 +147,12 @@ def _send_round(tb: TwoHostTestbed, a_eps, per_conn: int,
     for _round in range(per_conn):
         for e in idx:
             tb.sim.at(base + i * SEND_GAP_NS, a_eps[e].send, PAYLOAD,
-                      (HOST_B_IP, B_PORT_BASE + e))
+                      (B_IP, B_PORT_BASE + e))
             i += 1
     return i
 
 
-def _drain_b(tb: TwoHostTestbed, b_eps, per_conn: int, subset=None) -> int:
+def _drain_b(tb: Rack, b_eps, per_conn: int, subset=None) -> int:
     """Non-blocking drain of B's endpoints until dry (ring packets and
     fluid credit look identical to the application)."""
     idx = list(range(len(b_eps)) if subset is None else subset)
@@ -187,9 +188,9 @@ def _host_observables(host, prefix: str, busy0: int,
         obs[f"ff_{prefix}"] = m.ff.stats()
 
 
-def _observe(tb: TwoHostTestbed, delivered: int, busy0_a: int, busy0_b: int,
+def _observe(tb: Rack, delivered: int, busy0_a: int, busy0_b: int,
              wall_s: float) -> Dict[str, object]:
-    a, b = tb.host_a, tb.host_b
+    a, b = tb.hosts
     nic_a = a.dataplane.nic  # type: ignore[attr-defined]
     nic_b = b.dataplane.nic  # type: ignore[attr-defined]
     dma_a = a.machine.copies.layer(LAYER_DMA)
@@ -236,13 +237,13 @@ def run_leg(n_conns: int, rounds: int, costs: CostModel,
         # races one wire latency behind), and the rebuilt streak binds the
         # flow end-to-end on send 5 — leaving most of the schedule fluid.
         leg_costs = leg_costs.replace(
-            fast_forward=True, ff_tx=True, ff_cross_machine=True,
+            fast_forward=True, ff_cross_machine=True,
             ff_promote_after=2)
     tb = _rack_testbed(n_conns, leg_costs)
     a_eps = tb._e23_a_eps  # type: ignore[attr-defined]
     b_eps = tb._e23_b_eps  # type: ignore[attr-defined]
-    busy0_a = tb.host_a.machine.cpus.total_busy_ns()
-    busy0_b = tb.host_b.machine.cpus.total_busy_ns()
+    busy0_a = tb.hosts[0].machine.cpus.total_busy_ns()
+    busy0_b = tb.hosts[1].machine.cpus.total_busy_ns()
     delivered = 0
     t0 = time.perf_counter()
     for _round in range(rounds):
@@ -321,7 +322,7 @@ def run_parity(
     }
 
 
-def _warm_to_binding(tb: TwoHostTestbed, a_eps, warmup_rounds: int) -> None:
+def _warm_to_binding(tb: Rack, a_eps, warmup_rounds: int) -> None:
     """Exact rounds until every flow is bound end-to-end: the receiver
     promotes on its first cached hit, then the sender's gated TX promotion
     lands one round later."""
@@ -347,14 +348,14 @@ def run_crossover(
     warmup = 3 + hy.ff_promote_after
     tb = _rack_testbed(n_conns, hy)
     a_eps = tb._e23_a_eps  # type: ignore[attr-defined]
-    a_ff = tb.host_a.machine.ff
+    a_ff = tb.hosts[0].machine.ff
     assert a_ff is not None and tb.rack is not None
     t0 = time.perf_counter()
     _warm_to_binding(tb, a_eps, warmup)
     bound = tb.rack.bound
     flows = [
-        FiveTuple(PROTO_UDP, HOST_A_IP, A_PORT_BASE + i,
-                  HOST_B_IP, B_PORT_BASE + i)
+        FiveTuple(PROTO_UDP, A_IP, A_PORT_BASE + i,
+                  B_IP, B_PORT_BASE + i)
         for i in range(n_conns)
     ]
     absorbed = 0

@@ -10,18 +10,18 @@ nothing except wall-clock time.
 :class:`FastForwardController` lets a dataplane *promote* such a flow to
 fluid approximation: the plane captures a :class:`FlowProfile` (the exact
 per-packet span list the steady-state path would charge) and subsequent
-packets are *absorbed* — counted, not simulated. One ``FlowEpoch`` flush
+packets are *absorbed* — counted, not simulated. One epoch flush
 event then charges ``N ×`` the per-packet cost per stage, so the trace
 taxonomy, the copy ledger, CPU busy time, and fastpath counters all move
 exactly as N packet-level events would have moved them.
 
-Promoted flows that share a plane, chain-version-vector, and profile shape
-coalesce into a :class:`FlowGroup` charged by a *single* epoch event: one
-``ff_group_charge`` per group per epoch replays N_flows × N_pkts of
-counters, ledger entries, CPU busy time, and trace stages, with one shared
-horizon timer instead of one per flow. Per-flow residue is flushed on
-demotion, so any single flow can drop back to packet-exact without
-disturbing its group.
+Every promoted flow joins the :class:`FlowGroup` of flows sharing its
+plane, chain-version-vector, and profile shape, and a group is charged by
+a *single* epoch event: one ``ff_charge`` per group per epoch replays
+N_flows × N_pkts of counters, ledger entries, CPU busy time, and trace
+stages, with one shared horizon timer instead of one per flow. A flow's
+own residue is flushed on demotion (the one-member ``ff_charge``), so any
+single flow can drop back to packet-exact without disturbing its group.
 
 The safety contract is the *demotion* half: at every fidelity boundary the
 flow drops back to exact packet-level simulation **before** the boundary's
@@ -43,8 +43,9 @@ effect is simulated. Boundaries, and who wires them (see
   (:class:`~repro.cluster.MigrationCoordinator`)
 
 With ``CostModel.ff_cross_machine`` a :class:`RackFastForward` coordinator
-binds a sender's TX profile, the switch hop, and the receiver's RX profile
-into one end-to-end :class:`CrossMachineFlow`: absorbed sends flow through
+composes a sender's TX profile with the switch hop at promotion time and
+binds it to the receiver's RX profile as one end-to-end
+:class:`CrossMachineFlow`: absorbed sends flow through
 the fluid switch path into the receiver's own pending epoch, and either
 side's boundary demotes the whole end-to-end flow before the boundary's
 effect is simulated.
@@ -135,7 +136,7 @@ class FlowState:
     """Per-flow fast-forward bookkeeping."""
 
     __slots__ = ("key", "plane", "streak", "promoted", "profile",
-                 "pending", "flush_handle", "group")
+                 "pending", "group")
 
     def __init__(self, key, plane):
         self.key = key
@@ -144,7 +145,6 @@ class FlowState:
         self.promoted = False
         self.profile: Optional[FlowProfile] = None
         self.pending = 0         # absorbed packets awaiting an epoch flush
-        self.flush_handle = None # horizon event for the pending epoch
         self.group: Optional[FlowGroup] = None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
@@ -156,7 +156,7 @@ class FlowGroup:
     """Promoted flows sharing (plane, chain-version-vector, profile shape).
 
     The group holds ONE pending-packet total and ONE horizon timer for all
-    its members, and flushes with a single ``ff_group_charge`` — so at
+    its members, and flushes with a single ``ff_charge`` — so at
     100k+ steady flows the epoch machinery costs O(groups) queue events,
     not O(flows). Per-flow pendings are still tracked (the residue), so a
     member can flush or demote alone without disturbing the group.
@@ -185,9 +185,9 @@ class FastForwardController:
     """Tracks flow fidelity and turns absorbed packets into epoch charges.
 
     The controller never charges costs itself: flushing calls back into the
-    owning plane's ``ff_bulk_charge(key, n, profile)`` (or the coalesced
-    ``ff_group_charge(members, total, profile)`` for a whole group) so each
-    dataplane stays the authority on what N of its packets cost. The
+    owning plane's ``ff_charge(members, total, profile)`` — the whole
+    group's pending packets, or one member's residue — so each dataplane
+    stays the authority on what N of its packets cost. The
     controller owns *when* — promotion streaks, epoch sizing, the flush
     horizon, and the demote-on-boundary contract (flush first, so packets
     absorbed before a boundary are charged under the profile that was valid
@@ -200,17 +200,21 @@ class FastForwardController:
         self._flows: Dict[object, FlowState] = {}
         self._by_conn: Dict[int, List[FlowState]] = {}
         self._groups: Dict[object, FlowGroup] = {}
-        self._group_enabled = bool(getattr(costs, "ff_group", True))
         self._ws_bucket: Optional[int] = None
         # Cross-machine coordination hooks (wired by RackFastForward; all
         # None on a standalone host, which keeps per-host behaviour
         # byte-identical to the single-controller engine):
         #: ``gate(plane, key) -> bool`` consulted after the plane's own
-        #: eligibility check; a veto resets the promotion streak.
+        #: eligibility check and before its profile is built; a veto resets
+        #: the promotion streak.
         self.promotion_gate: Optional[Callable[[object, object], bool]] = None
-        #: ``hook(plane, key, state)`` fired once promotion (and group
-        #: placement) completed.
-        self.on_promote: Optional[Callable[[object, object, FlowState], None]] = None
+        #: ``hook(plane, key, profile) -> FlowProfile | None`` consulted
+        #: right after the plane froze ``profile`` and before group
+        #: placement: it returns the profile to install (a coordinator may
+        #: compose a cross-machine profile here) or None to veto, which
+        #: resets the promotion streak.
+        self.compose_profile: Optional[Callable[
+            [object, object, FlowProfile], Optional[FlowProfile]]] = None
         #: ``hook(key, reason)`` fired at the *top* of a promoted flow's
         #: demotion, before its residue is flushed — the window in which a
         #: coordinator can flush a bound peer *through* this still-promoted
@@ -246,6 +250,8 @@ class FastForwardController:
             state.streak = 0
             return
         profile = plane.ff_profile(key, pkt)
+        if profile is not None and self.compose_profile is not None:
+            profile = self.compose_profile(plane, key, profile)
         if profile is None:
             state.streak = 0
             return
@@ -254,53 +260,13 @@ class FastForwardController:
         self.promotions += 1
         if profile.conn_id is not None:
             self._by_conn.setdefault(profile.conn_id, []).append(state)
-        if self._group_enabled:
-            self._group_insert(state, plane, profile)
-        if self.on_promote is not None:
-            self.on_promote(plane, key, state)
-
-    def _group_insert(self, state: FlowState, plane, profile: FlowProfile
-                      ) -> None:
         gkey = (id(plane), profile.versions, profile.spans,
                 profile.core_id, profile.wire_len, profile.tenant_tid)
         group = self._groups.get(gkey)
         if group is None:
             group = self._groups[gkey] = FlowGroup(gkey, plane)
-        group.members[state.key] = state
+        group.members[key] = state
         state.group = group
-
-    def rebind(self, key, profile: FlowProfile) -> None:
-        """Swap a promoted flow onto a new :class:`FlowProfile` — the
-        cross-machine promotion path extends a sender's TX profile with the
-        switch-hop wire span. Any pending epoch is flushed first (charged
-        under the profile it was absorbed under), and the flow moves to the
-        group matching the new shape."""
-        state = self._flows.get(key)
-        if state is None or not state.promoted:
-            raise SimulationError(f"rebind of unpromoted flow {key!r}")
-        self._flush_state(state)
-        group = state.group
-        if group is not None:
-            group.members.pop(key, None)
-            state.group = None
-            if not group.members:
-                if group.flush_handle is not None:
-                    group.flush_handle.cancel()
-                    group.flush_handle = None
-                self._groups.pop(group.key, None)
-        old = state.profile
-        if old is not None and old.conn_id != profile.conn_id:
-            if old.conn_id is not None:
-                peers = self._by_conn.get(old.conn_id)
-                if peers is not None:
-                    peers.remove(state)
-                    if not peers:
-                        del self._by_conn[old.conn_id]
-            if profile.conn_id is not None:
-                self._by_conn.setdefault(profile.conn_id, []).append(state)
-        state.profile = profile
-        if self._group_enabled:
-            self._group_insert(state, state.plane, profile)
 
     def promoted(self, key) -> bool:
         state = self._flows.get(key)
@@ -356,30 +322,17 @@ class FastForwardController:
     def _absorb(self, state: FlowState, n: int) -> None:
         state.pending += n
         group = state.group
-        if group is not None:
-            if state.pending == n:
-                group.dirty.append(state)
-            group.pending_total += n
-            if group.pending_total >= self.costs.ff_epoch_packets:
-                self._flush_group(group)
-            elif group.flush_handle is None:
-                group.flush_handle = self.sim.after(
-                    self.costs.ff_horizon_ns, self._group_horizon_flush,
-                    group.key)
-            return
-        if state.pending >= self.costs.ff_epoch_packets:
-            self._flush_state(state)
-        elif state.flush_handle is None:
-            state.flush_handle = self.sim.after(
-                self.costs.ff_horizon_ns, self._horizon_flush, state.key)
+        if state.pending == n:
+            group.dirty.append(state)
+        group.pending_total += n
+        if group.pending_total >= self.costs.ff_epoch_packets:
+            self._flush_group(group)
+        elif group.flush_handle is None:
+            group.flush_handle = self.sim.after(
+                self.costs.ff_horizon_ns, self._group_horizon_flush,
+                group.key)
 
     # -- flushing ----------------------------------------------------------
-
-    def _horizon_flush(self, key) -> None:
-        state = self._flows.get(key)
-        if state is not None:
-            state.flush_handle = None
-            self._flush_state(state)
 
     def _group_horizon_flush(self, gkey) -> None:
         group = self._groups.get(gkey)
@@ -388,7 +341,7 @@ class FastForwardController:
             self._flush_group(group)
 
     def _flush_group(self, group: FlowGroup) -> None:
-        """One epoch event for the whole group: a single ``ff_group_charge``
+        """One epoch event for the whole group: a single ``ff_charge``
         replays every member's pending packets."""
         if group.flush_handle is not None:
             group.flush_handle.cancel()
@@ -410,33 +363,25 @@ class FastForwardController:
         self.epochs += 1
         self.group_epochs += 1
         self.fluid_packets += total
-        charge = getattr(group.plane, "ff_group_charge", None)
-        if charge is not None:
-            charge(members, total, members[0][2])
-        else:
-            for key, n, profile in members:
-                group.plane.ff_bulk_charge(key, n, profile)
+        group.plane.ff_charge(members, total, members[0][2])
 
     def _flush_state(self, state: FlowState) -> None:
-        """Per-flow flush. For a grouped flow this is the *residue* flush:
-        it charges just this member's pending packets (one
-        ``ff_bulk_charge``) and leaves the rest of the group fluid."""
-        group = state.group
-        if group is None and state.flush_handle is not None:
-            state.flush_handle.cancel()
-            state.flush_handle = None
+        """The *residue* flush: charges just this member's pending packets
+        (the one-member ``ff_charge``) and leaves the rest of its group
+        fluid."""
         n = state.pending
         if n == 0:
             return
         state.pending = 0
-        if group is not None:
-            group.pending_total -= n
-            if group.pending_total == 0 and group.flush_handle is not None:
-                group.flush_handle.cancel()
-                group.flush_handle = None
+        group = state.group
+        group.pending_total -= n
+        if group.pending_total == 0 and group.flush_handle is not None:
+            group.flush_handle.cancel()
+            group.flush_handle = None
         self.epochs += 1
         self.fluid_packets += n
-        state.plane.ff_bulk_charge(state.key, n, state.profile)
+        state.plane.ff_charge([(state.key, n, state.profile)], n,
+                              state.profile)
 
     def flush(self, key) -> None:
         """Charge the flow's pending epoch now (no fidelity change)."""
@@ -454,9 +399,6 @@ class FastForwardController:
     def flush_all(self) -> None:
         for group in list(self._groups.values()):
             self._flush_group(group)
-        for state in list(self._flows.values()):
-            if state.group is None:
-                self._flush_state(state)
 
     # -- demotion (the fidelity boundaries) --------------------------------
 
@@ -484,14 +426,13 @@ class FastForwardController:
             self._flush_state(state)
             self.demotions[reason] += 1
             group = state.group
-            if group is not None:
-                group.members.pop(key, None)
-                state.group = None
-                if not group.members:
-                    if group.flush_handle is not None:
-                        group.flush_handle.cancel()
-                        group.flush_handle = None
-                    self._groups.pop(group.key, None)
+            group.members.pop(key, None)
+            state.group = None
+            if not group.members:
+                if group.flush_handle is not None:
+                    group.flush_handle.cancel()
+                    group.flush_handle = None
+                self._groups.pop(group.key, None)
             profile = state.profile
             if profile is not None and profile.conn_id is not None:
                 peers = self._by_conn.get(profile.conn_id)
@@ -499,8 +440,6 @@ class FastForwardController:
                     peers.remove(state)
                     if not peers:
                         del self._by_conn[profile.conn_id]
-        elif state.flush_handle is not None:  # pragma: no cover - invariant
-            state.flush_handle.cancel()
         return was_fluid
 
     def demote_conn(self, conn_id: int, reason: str) -> int:
@@ -664,9 +603,9 @@ class RackFastForward:
       receiving rack host's RX flow is *already* promoted and the switch
       path is frozen (learned port correct, no match-action rules). Until
       then the TX side keeps simulating exactly; a veto resets the streak.
-    * ``on_promote`` — when a gated TX promotion lands, the sender's profile
-      is rebound to an *extended* profile carrying the receiver-side
-      downlink wire span, and the flow is recorded as a
+    * ``compose_profile`` — a gated TX promotion's frozen profile is
+      extended with the receiver-side downlink wire span *before* the
+      controller places the flow in a group, and the flow is recorded as a
       :class:`CrossMachineFlow`. From then on an absorbed send is the whole
       A → switch → B packet: the TX epoch's deliver closure pushes the bulk
       through ``Link.send_fluid`` → ``L2Switch.forward_fluid`` →
@@ -709,9 +648,9 @@ class RackFastForward:
         ctrl = host.ctrl
         ctrl.promotion_gate = \
             lambda plane, key, _h=host: self._gate(_h, plane, key)
-        ctrl.on_promote = \
-            lambda plane, key, state, _h=host: \
-            self._on_promote(_h, plane, key, state)
+        ctrl.compose_profile = \
+            lambda plane, key, profile, _h=host: \
+            self._compose(_h, plane, key, profile)
         ctrl.on_demote = \
             lambda key, reason, _h=host: self._on_demote(_h, key, reason)
         return host
@@ -732,17 +671,19 @@ class RackFastForward:
             return False
         return True
 
-    def _on_promote(self, host: RackHost, plane, key,
-                    state: FlowState) -> None:
+    def _compose(self, host: RackHost, plane, key,
+                 prof: FlowProfile) -> Optional[FlowProfile]:
+        """The cross-machine promotion: a gated TX profile is extended with
+        the receiver's downlink wire span — so one absorbed send is the
+        whole A → switch → B packet — and the flow is bound end to end.
+        RX profiles pass through unchanged."""
         if plane is not host.tx_plane:
-            return
+            return prof
         peer = self._host_by_ip.get(key.dst_ip)
         if peer is None:  # pragma: no cover - gate guarantees a peer
-            return
+            return None
         from .. import units
         from ..trace import STAGE_WIRE
-        prof = state.profile
-        assert prof is not None
         wire_ns = (units.transmit_time_ns(prof.wire_len,
                                           peer.downlink.rate_bps)
                    + peer.downlink.propagation_ns)
@@ -752,9 +693,9 @@ class RackFastForward:
             src_ip=prof.src_ip, sport=prof.sport, deliver=prof.deliver,
             conn_id=prof.conn_id, versions=prof.versions,
             tenant_tid=prof.tenant_tid)
-        host.ctrl.rebind(key, extended)
         self._bound[key] = CrossMachineFlow(key, host, peer)
         self.bindings += 1
+        return extended
 
     def _on_demote(self, host: RackHost, key, reason: str) -> None:
         cmf = self._bound.pop(key, None)

@@ -22,7 +22,7 @@ from repro.cluster import HashRing, vip_mac
 from repro.cluster.balancer import L4LoadBalancer
 from repro.config import DEFAULT_COSTS
 from repro.core.norman import NormanOS
-from repro.dataplanes.multihost import HostSpec, Rack, TwoHostTestbed
+from repro.dataplanes.multihost import HostSpec, Rack
 from repro.errors import ConfigError, PolicyError
 from repro.interpose.fastpath import CHAIN_KOPI_RX
 from repro.net import MacAddress, make_udp
@@ -43,7 +43,7 @@ PAYLOAD = 600
 
 def _costs(**over):
     base = dict(
-        flow_fastpath=True, fast_forward=True, ff_tx=True,
+        flow_fastpath=True, fast_forward=True,
         ff_promote_after=2, cluster_lb=True, flow_migration=True,
     )
     base.update(over)
@@ -185,7 +185,8 @@ class TestBalancer:
             rack.add_vip(IPv4Address.parse("10.0.9.10"), ["nope"])
 
     def test_add_vip_requires_knob(self):
-        tb = TwoHostTestbed(NormanOS, NormanOS)
+        tb = Rack([HostSpec.indexed(0, "hostA", NormanOS),
+                   HostSpec.indexed(1, "hostB", NormanOS)])
         assert tb.balancer is None
         with pytest.raises(PolicyError):
             tb.add_vip(VIP, ["hostB"])
@@ -454,7 +455,8 @@ class TestSeedIdentity:
     (the balancer probe in the forwarding loop must be free)."""
 
     def test_default_costs_build_no_cluster(self):
-        tb = TwoHostTestbed(NormanOS, NormanOS)
+        tb = Rack([HostSpec.indexed(0, "hostA", NormanOS),
+                   HostSpec.indexed(1, "hostB", NormanOS)])
         assert tb.balancer is None
         assert tb.coordinator is None
         assert tb.switch._balancer is None

@@ -230,9 +230,10 @@ class TestCrossHostIsolation:
 
     def _pair(self):
         from repro.core import NormanOS
-        from repro.dataplanes.multihost import TwoHostTestbed
+        from repro.dataplanes.multihost import HostSpec, Rack
 
-        tb = TwoHostTestbed(KernelPathDataplane, NormanOS)
+        tb = Rack([HostSpec.indexed(0, "hostA", KernelPathDataplane),
+                   HostSpec.indexed(1, "hostB", NormanOS)])
         tb.run_all()  # overlay loads on the Norman side
         return tb
 
@@ -240,20 +241,20 @@ class TestCrossHostIsolation:
         from repro.tools import Iptables
 
         tb = self._pair()
-        ipt_a = Iptables(tb.host_a.dataplane, tb.host_a.kernel)
-        ipt_b = Iptables(tb.host_b.dataplane, tb.host_b.kernel)
+        ipt_a = Iptables(tb.hosts[0].dataplane, tb.hosts[0].kernel)
+        ipt_b = Iptables(tb.hosts[1].dataplane, tb.hosts[1].kernel)
         ipt_b("-A OUTPUT -p udp --dport 5432 -j DROP")
         # B sees its rule; A's table is untouched.
         assert "-j DROP" in ipt_b("-L OUTPUT")
         assert "-j" not in ipt_a("-L OUTPUT")
         # And A's traffic to the "dropped" port flows: B's rule interposes
         # on B's dataplane only.
-        proc = tb.host_a.spawn("app", "bob", core_id=1)
-        ep = tb.host_a.dataplane.open_endpoint(proc, PROTO_UDP, 6000)
-        srv = tb.host_b.spawn("srv", "carol", core_id=1)
-        ep_b = tb.host_b.dataplane.open_endpoint(srv, PROTO_UDP, 5432)
+        proc = tb.hosts[0].spawn("app", "bob", core_id=1)
+        ep = tb.hosts[0].dataplane.open_endpoint(proc, PROTO_UDP, 6000)
+        srv = tb.hosts[1].spawn("srv", "carol", core_id=1)
+        ep_b = tb.hosts[1].dataplane.open_endpoint(srv, PROTO_UDP, 5432)
         tb.run_all()
-        ep.send(100, dst=(tb.host_b.ip, 5432))
+        ep.send(100, dst=(tb.hosts[1].ip, 5432))
         tb.run_all()
         got = []
         ep_b.recv_burst(4, blocking=False).add_callback(
@@ -265,13 +266,13 @@ class TestCrossHostIsolation:
         from repro.tools import Netstat
 
         tb = self._pair()
-        pa = tb.host_a.spawn("alpha", "bob", core_id=1)
-        pb = tb.host_b.spawn("bravo", "carol", core_id=1)
-        tb.host_a.dataplane.open_endpoint(pa, PROTO_UDP, 7001)
-        tb.host_b.dataplane.open_endpoint(pb, PROTO_UDP, 7002)
+        pa = tb.hosts[0].spawn("alpha", "bob", core_id=1)
+        pb = tb.hosts[1].spawn("bravo", "carol", core_id=1)
+        tb.hosts[0].dataplane.open_endpoint(pa, PROTO_UDP, 7001)
+        tb.hosts[1].dataplane.open_endpoint(pb, PROTO_UDP, 7002)
         tb.run_all()
-        out_a = Netstat(tb.host_a.kernel)()
-        out_b = Netstat(tb.host_b.kernel)()
+        out_a = Netstat(tb.hosts[0].kernel)()
+        out_b = Netstat(tb.hosts[1].kernel)()
         assert "alpha" in out_a and "bravo" not in out_a
         assert ":7001" in out_a and ":7002" not in out_a
         assert ":7002" in out_b and ":7001" not in out_b
@@ -280,11 +281,11 @@ class TestCrossHostIsolation:
         from repro.tools import Ss
 
         tb = self._pair()
-        pb = tb.host_b.spawn("bravo", "carol", core_id=1)
-        tb.host_b.dataplane.open_endpoint(pb, PROTO_UDP, 7002)
+        pb = tb.hosts[1].spawn("bravo", "carol", core_id=1)
+        tb.hosts[1].dataplane.open_endpoint(pb, PROTO_UDP, 7002)
         tb.run_all()
-        out_a = Ss(tb.host_a.dataplane, tb.host_a.kernel)()
-        out_b = Ss(tb.host_b.dataplane, tb.host_b.kernel)()
+        out_a = Ss(tb.hosts[0].dataplane, tb.hosts[0].kernel)()
+        out_b = Ss(tb.hosts[1].dataplane, tb.hosts[1].kernel)()
         assert ":7002" in out_b
         assert ":7002" not in out_a
         assert "bravo" not in out_a

@@ -12,10 +12,16 @@ import pytest
 from repro.config import DEFAULT_COSTS
 from repro.errors import ConfigError, SimulationError
 from repro.core.norman import NormanOS
-from repro.dataplanes.testbed import HOST_IP, PEER_IP, Testbed
+from repro.dataplanes import (
+    BypassDataplane,
+    KernelPathDataplane,
+    SidecarDataplane,
+)
+from repro.dataplanes.testbed import HOST_IP, HOST_MAC, PEER_IP, PEER_MAC, Testbed
 from repro.kernel.netfilter import CHAIN_INPUT, DROP, NetfilterRule
 from repro.net.flow import FiveTuple
 from repro.net.headers import PROTO_UDP
+from repro.net.packet import make_udp
 from repro.sim import Simulator
 from repro.sim.fastforward import (
     REASON_CONNTRACK,
@@ -51,8 +57,9 @@ class StubPlane:
     def ff_profile(self, key, pkt):
         return self.profile
 
-    def ff_bulk_charge(self, key, n, profile):
-        self.charges.append((key, n))
+    def ff_charge(self, members, total_n, profile):
+        for key, n, _prof in members:
+            self.charges.append((key, n))
 
 
 def _controller(**over):
@@ -105,6 +112,43 @@ class TestControllerUnit:
         for _ in range(3):
             ff.note_exact(plane, "k", None)
         assert ff.promoted("k")
+
+    def test_compose_hook_vetoes_or_installs_profile(self):
+        _sim, ff = _controller()
+        frozen = _profile()
+        plane = StubPlane(frozen)
+        seen = []
+
+        def veto(plane_, key, profile):
+            seen.append((plane_, key, profile))
+            return None
+
+        ff.compose_profile = veto
+        for _ in range(3):
+            ff.note_exact(plane, "k", None)
+        assert seen == [(plane, "k", frozen)]  # called after ff_profile
+        assert not ff.promoted("k")
+        assert ff.groups == 0 and ff.promotions == 0
+        # The veto reset the streak: the next promotion needs a full one.
+        composed = FlowProfile(
+            frozen.spans + (("wire", 80, False, "down"),), core_id=0,
+            wire_len=frozen.wire_len, conn_id=frozen.conn_id)
+        ff.compose_profile = lambda _plane, _key, _profile: composed
+        ff.note_exact(plane, "k", None)
+        ff.note_exact(plane, "k", None)
+        assert not ff.promoted("k")
+        ff.note_exact(plane, "k", None)
+        assert ff.promoted("k")
+        # The flow is grouped under the composed shape, not the plane's,
+        # and no group was left behind for the frozen shape.
+        (group,) = ff._groups.values()
+        assert group.key == (id(plane), composed.versions, composed.spans,
+                             composed.core_id, composed.wire_len,
+                             composed.tenant_tid)
+        assert list(group.members) == ["k"]
+        ff.absorb("k", 2)
+        ff.flush_all()
+        assert plane.charges == [("k", 2)]
 
     def test_absorb_refuses_unpromoted(self):
         _sim, ff = _controller()
@@ -354,6 +398,52 @@ class TestBoundaries:
 
 
 # ---------------------------------------------------------------------------
+# The shared RX template (Dataplane.ff_eligible / ff_profile)
+# ---------------------------------------------------------------------------
+
+
+class TestRxTemplate:
+    """Kernel, bypass and sidecar fill in only a target lookup, a span
+    tuple, and (kernel) a deliver closure; the Dataplane template turns
+    those into eligibility and a FlowProfile."""
+
+    @pytest.mark.parametrize("plane_cls", [
+        KernelPathDataplane, BypassDataplane, SidecarDataplane,
+    ])
+    def test_steady_flow_profile_and_refusals(self, plane_cls):
+        costs = DEFAULT_COSTS.replace(
+            flow_fastpath=True, fast_forward=True, ff_promote_after=1_000)
+        tb = Testbed(plane_cls, costs=costs, n_cores=4)
+        proc = tb.spawn("srv", "bob", core_id=2)
+        tb.dataplane.open_endpoint(proc, PROTO_UDP, PORT)
+        tb.run_all()
+        for _ in range(3):
+            tb.peer.send_udp(SPORT, PORT, 256)
+            tb.run_all()
+        pkt = make_udp(PEER_MAC, HOST_MAC, PEER_IP, HOST_IP, SPORT, PORT, 256)
+        plane = tb.dataplane
+        assert plane.ff_eligible(_flow())
+        profile = plane.ff_profile(_flow(), pkt)
+        assert profile.wire_len == pkt.wire_len
+        assert profile.payload_len == 256
+        assert (profile.src_ip, profile.sport) == (PEER_IP, SPORT)
+        assert profile.versions  # the cached verdict's chain versions
+        assert profile.latency_ns == sum(ns for _s, ns, _c, _l in profile.spans)
+        assert (profile.deliver is not None) == (plane_cls is KernelPathDataplane)
+        # No cached verdict, no target: ineligible and no profile.
+        assert not plane.ff_eligible(_flow(port=PORT + 1))
+        assert plane.ff_profile(_flow(port=PORT + 1), pkt) is None
+        if plane_cls is not BypassDataplane:  # bypass has no capture point
+            plane.start_capture(name="dbg")
+            for _ in range(2):
+                tb.peer.send_udp(SPORT, PORT, 256)
+                tb.run_all()
+            # The verdict is cached again, but a capture needs the packets.
+            assert plane.ff_profile(_flow(), pkt) is not None
+            assert not plane.ff_eligible(_flow())
+
+
+# ---------------------------------------------------------------------------
 # Parity smoke: hybrid == exact at tiny scale
 # ---------------------------------------------------------------------------
 
@@ -434,7 +524,7 @@ class TestConfigGating:
 
 
 # ---------------------------------------------------------------------------
-# Property: group-epoch = per-flow-epoch = packet-exact
+# Property: group-epoch charging = packet-exact
 # ---------------------------------------------------------------------------
 
 
@@ -445,14 +535,13 @@ from hypothesis import strategies as st
 
 
 class LedgerPlane:
-    """Records exactly which (key, n) the controller charges, under both
-    the per-flow and the group charging entry points, so two charging
-    modes can be compared ledger-for-ledger."""
+    """Records exactly which (key, n) the controller charges through its
+    one entry point, so the ledger can be compared against the packets
+    each flow offered."""
 
     def __init__(self, profiles):
         self.profiles = profiles
         self.charged = Counter()
-        self.group_calls = 0
 
     def ff_eligible(self, key):
         return True
@@ -460,24 +549,25 @@ class LedgerPlane:
     def ff_profile(self, key, pkt):
         return self.profiles[key]
 
-    def ff_bulk_charge(self, key, n, profile):
-        self.charged[key] += n
-
-    def ff_group_charge(self, members, total_n, profile):
+    def ff_charge(self, members, total_n, profile):
         assert total_n == sum(n for _key, n, _prof in members)
         assert all(n > 0 for _key, n, _prof in members)
-        self.group_calls += 1
+        # One epoch never mixes shapes: every member shares the charged
+        # profile's spans and core.
+        assert all(prof.spans == profile.spans
+                   and prof.core_id == profile.core_id
+                   for _key, _n, prof in members)
         for key, n, _prof in members:
             self.charged[key] += n
 
 
-def _drive_schedule(ops, group):
+def _drive_schedule(ops):
     """Replay one random promote/absorb/demote/commit/flush interleaving
-    through a controller in the requested charging mode. Returns the
-    charge ledger plus offered/exact/fluid packet counts per flow."""
+    through a controller. Returns the charge ledger plus offered/exact/
+    fluid packet counts per flow."""
     costs = DEFAULT_COSTS.replace(
         flow_fastpath=True, fast_forward=True, ff_promote_after=2,
-        ff_epoch_packets=8, ff_horizon_ns=500, ff_group=group,
+        ff_epoch_packets=8, ff_horizon_ns=500,
     )
     sim = Simulator()
     ctl = FastForwardController(sim, costs)
@@ -536,19 +626,12 @@ class TestChargingModeEquivalence:
         )
     )
     @settings(max_examples=80, deadline=None)
-    def test_group_equals_per_flow_equals_exact(self, ops):
-        g_plane, g_offered, g_exact, g_fluid = _drive_schedule(ops, True)
-        p_plane, p_offered, p_exact, p_fluid = _drive_schedule(ops, False)
-        # Promotion decisions depend only on the schedule, so the
-        # exact/fluid split is identical across charging modes...
-        assert g_exact == p_exact
-        assert g_fluid == p_fluid
-        assert g_offered == p_offered
-        # ...and so is the charge ledger: every absorbed packet is
-        # charged exactly once to its own flow in both modes.
-        assert g_plane.charged == p_plane.charged
-        for key in g_offered:
-            assert g_plane.charged[key] == g_fluid[key]
-            assert g_plane.charged[key] + g_exact[key] == g_offered[key]
-        # Per-flow mode must never take the group entry point.
-        assert p_plane.group_calls == 0
+    def test_group_equals_exact(self, ops):
+        plane, offered, exact, fluid = _drive_schedule(ops)
+        # Every absorbed packet is charged exactly once, to its own flow,
+        # and together with the exact packets accounts for every packet
+        # the flow offered.
+        assert set(plane.charged) <= set(offered)
+        for key in offered:
+            assert plane.charged[key] == fluid[key]
+            assert plane.charged[key] + exact[key] == offered[key]

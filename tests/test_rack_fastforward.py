@@ -6,8 +6,8 @@ one epoch) must demote *as a whole* at either machine's demotion boundary
 and at every switch-state change, with the pending bulk flushed through
 the still-promoted chain before the boundary's effect is simulated. Each
 boundary gets its own test against two real Norman stacks; a hypothesis
-property pins cross-machine charging (group, per-flow, exact) to the same
-counted observables; and a seed-identity guard proves the knob is inert
+property pins cross-machine group charging to the exact run's counted
+observables; and a seed-identity guard proves the knob is inert
 until both enabled and exercised.
 """
 
@@ -17,13 +17,7 @@ from hypothesis import strategies as st
 
 from repro.config import DEFAULT_COSTS
 from repro.core.norman import NormanOS
-from repro.dataplanes.multihost import (
-    HOST_A_IP,
-    HOST_A_MAC,
-    HOST_B_IP,
-    HOST_B_MAC,
-    TwoHostTestbed,
-)
+from repro.dataplanes.multihost import HostSpec, Rack, rack_ip, rack_mac
 from repro.kernel.netfilter import CHAIN_INPUT, DROP, NetfilterRule
 from repro.net import MacAddress, MatchAction, NetworkInterposer, make_udp
 from repro.net.flow import FiveTuple
@@ -37,31 +31,39 @@ from repro.sim.fastforward import (
 A_PORT = 20_000
 B_PORT = 10_000
 PAYLOAD = 600
+A_IP, A_MAC = rack_ip(0), rack_mac(0)
+B_IP, B_MAC = rack_ip(1), rack_mac(1)
 
 
 def _costs(**over):
     base = dict(
-        flow_fastpath=True, fast_forward=True, ff_tx=True,
+        flow_fastpath=True, fast_forward=True,
         ff_cross_machine=True, ff_promote_after=1,
     )
     base.update(over)
     return DEFAULT_COSTS.replace(**base)
 
 
+def _pair(costs=DEFAULT_COSTS, n_cores=4):
+    """Two Norman hosts on one switch: a two-entry rack."""
+    return Rack([HostSpec.indexed(0, "hostA", NormanOS),
+                 HostSpec.indexed(1, "hostB", NormanOS)],
+                costs=costs, n_cores=n_cores)
+
+
 def _rack_pair(costs=None, n_conns=1):
-    tb = TwoHostTestbed(NormanOS, NormanOS, costs=costs or _costs(),
-                        n_cores=2)
-    pa = tb.host_a.spawn("cli", "bob", core_id=1)
-    pb = tb.host_b.spawn("srv", "carol", core_id=1)
-    eps_a = [tb.host_a.dataplane.open_endpoint(pa, PROTO_UDP, A_PORT + i)
+    tb = _pair(costs or _costs(), n_cores=2)
+    pa = tb.hosts[0].spawn("cli", "bob", core_id=1)
+    pb = tb.hosts[1].spawn("srv", "carol", core_id=1)
+    eps_a = [tb.hosts[0].dataplane.open_endpoint(pa, PROTO_UDP, A_PORT + i)
              for i in range(n_conns)]
-    eps_b = [tb.host_b.dataplane.open_endpoint(pb, PROTO_UDP, B_PORT + i)
+    eps_b = [tb.hosts[1].dataplane.open_endpoint(pb, PROTO_UDP, B_PORT + i)
              for i in range(n_conns)]
     tb.run_all()
     # B speaks once so the switch learns its port (the ARP-reply
     # analogue); A→B-only traffic would flood every frame and the
     # promotion gate would veto forever.
-    eps_b[0].send(64, (HOST_A_IP, A_PORT))
+    eps_b[0].send(64, (A_IP, A_PORT))
     tb.run_all()
     return tb, eps_a, eps_b
 
@@ -72,7 +74,7 @@ def _send(tb, eps_a, rounds=1):
     for _ in range(rounds):
         for i, ep in enumerate(eps_a):
             tb.sim.at(tb.sim.now + 1_000, ep.send, PAYLOAD,
-                      (HOST_B_IP, B_PORT + i))
+                      (B_IP, B_PORT + i))
             tb.run_all()
 
 
@@ -93,7 +95,7 @@ def _drain(tb, eps_b):
 
 
 def _flow(i=0):
-    return FiveTuple(PROTO_UDP, HOST_A_IP, A_PORT + i, HOST_B_IP, B_PORT + i)
+    return FiveTuple(PROTO_UDP, A_IP, A_PORT + i, B_IP, B_PORT + i)
 
 
 def _bind(tb, eps_a, n_conns=1):
@@ -104,14 +106,14 @@ def _bind(tb, eps_a, n_conns=1):
 
 
 def _uplink_sent(tb):
-    return tb.host_a.uplink.metrics.counter("sent").value
+    return tb.hosts[0].uplink.metrics.counter("sent").value
 
 
 class TestEndToEndBinding:
     def test_binds_and_absorbs_at_send(self):
         tb, eps_a, eps_b = _rack_pair()
         _bind(tb, eps_a)
-        a_ff, b_ff = tb.host_a.machine.ff, tb.host_b.machine.ff
+        a_ff, b_ff = tb.hosts[0].machine.ff, tb.hosts[1].machine.ff
         assert a_ff.promoted(_flow()) and b_ff.promoted(_flow())
         wire = _uplink_sent(tb)
         fluid0 = a_ff.fluid_packets
@@ -129,11 +131,11 @@ class TestEndToEndBinding:
 
     def test_gate_refuses_unsteady_switch_path(self):
         # No B→A teach: every A→B frame floods, the path is never frozen.
-        tb = TwoHostTestbed(NormanOS, NormanOS, costs=_costs(), n_cores=2)
-        pa = tb.host_a.spawn("cli", "bob", core_id=1)
-        pb = tb.host_b.spawn("srv", "carol", core_id=1)
-        ep_a = tb.host_a.dataplane.open_endpoint(pa, PROTO_UDP, A_PORT)
-        tb.host_b.dataplane.open_endpoint(pb, PROTO_UDP, B_PORT)
+        tb = _pair(_costs(), n_cores=2)
+        pa = tb.hosts[0].spawn("cli", "bob", core_id=1)
+        pb = tb.hosts[1].spawn("srv", "carol", core_id=1)
+        ep_a = tb.hosts[0].dataplane.open_endpoint(pa, PROTO_UDP, A_PORT)
+        tb.hosts[1].dataplane.open_endpoint(pb, PROTO_UDP, B_PORT)
         tb.run_all()
         _send(tb, [ep_a], rounds=5)
         assert tb.rack.bound == 0
@@ -145,7 +147,7 @@ def _assert_demoted_end_to_end(tb, eps_a, eps_b, boundary, sends=4):
     end-to-end flow is exact again: the next send crosses the real wire."""
     _bind(tb, eps_a)
     _send(tb, eps_a)  # absorbed
-    a_ff, b_ff = tb.host_a.machine.ff, tb.host_b.machine.ff
+    a_ff, b_ff = tb.hosts[0].machine.ff, tb.hosts[1].machine.ff
     boundary()
     tb.run_all()
     assert tb.rack.bound == 0
@@ -166,43 +168,43 @@ class TestCrossMachineBoundaries:
         tb, eps_a, eps_b = _rack_pair()
 
         def commit():
-            tb.host_a.dataplane.install_filter_rule(NetfilterRule(
+            tb.hosts[0].dataplane.install_filter_rule(NetfilterRule(
                 verdict=DROP, chain=CHAIN_INPUT, proto=PROTO_UDP,
                 dport=A_PORT + 7,
             ))
 
         _assert_demoted_end_to_end(tb, eps_a, eps_b, commit)
-        assert tb.host_a.machine.ff.demotions[REASON_POLICY] >= 1
+        assert tb.hosts[0].machine.ff.demotions[REASON_POLICY] >= 1
 
     def test_receiver_policy_commit_demotes_both_ends(self):
         tb, eps_a, eps_b = _rack_pair()
 
         def commit():
-            tb.host_b.dataplane.install_filter_rule(NetfilterRule(
+            tb.hosts[1].dataplane.install_filter_rule(NetfilterRule(
                 verdict=DROP, chain=CHAIN_INPUT, proto=PROTO_UDP,
                 dport=B_PORT + 7,
             ))
 
         _assert_demoted_end_to_end(tb, eps_a, eps_b, commit)
-        assert tb.host_b.machine.ff.demotions[REASON_POLICY] >= 1
+        assert tb.hosts[1].machine.ff.demotions[REASON_POLICY] >= 1
 
     def test_receiver_conntrack_expiry_demotes_both_ends(self):
         tb, eps_a, eps_b = _rack_pair()
 
         def expire():
-            assert tb.host_b.machine.fastpath.evict_flow(_flow()) >= 1
+            assert tb.hosts[1].machine.fastpath.evict_flow(_flow()) >= 1
 
         _assert_demoted_end_to_end(tb, eps_a, eps_b, expire)
-        assert tb.host_b.machine.ff.demotions[REASON_CONNTRACK] >= 1
+        assert tb.hosts[1].machine.ff.demotions[REASON_CONNTRACK] >= 1
 
     def test_sender_fastpath_evict_demotes_both_ends(self):
         tb, eps_a, eps_b = _rack_pair()
 
         def evict():
-            assert tb.host_a.machine.fastpath.evict_flow(_flow()) >= 1
+            assert tb.hosts[0].machine.fastpath.evict_flow(_flow()) >= 1
 
         _assert_demoted_end_to_end(tb, eps_a, eps_b, evict)
-        assert tb.host_a.machine.ff.demotions[REASON_CONNTRACK] >= 1
+        assert tb.hosts[0].machine.ff.demotions[REASON_CONNTRACK] >= 1
 
     def test_switch_rule_install_demotes_both_ends(self):
         tb, eps_a, eps_b = _rack_pair()
@@ -213,8 +215,8 @@ class TestCrossMachineBoundaries:
             p4.add_rule(MatchAction(action="allow"))
 
         _assert_demoted_end_to_end(tb, eps_a, eps_b, install)
-        assert tb.host_a.machine.ff.demotions[REASON_SWITCH] >= 1
-        assert tb.host_b.machine.ff.demotions[REASON_SWITCH] >= 1
+        assert tb.hosts[0].machine.ff.demotions[REASON_SWITCH] >= 1
+        assert tb.hosts[1].machine.ff.demotions[REASON_SWITCH] >= 1
         # With any rule installed the path is no longer frozen: the flow
         # may not re-bind no matter how steady the traffic.
         _send(tb, eps_a, rounds=4)
@@ -226,12 +228,12 @@ class TestCrossMachineBoundaries:
         def flood():
             # A frame to a never-learned MAC floods — a switch-state event
             # the frozen path cannot absorb.
-            stray = make_udp(HOST_A_MAC, MacAddress.from_index(9),
-                             HOST_A_IP, HOST_B_IP, 1, 2, 64)
-            tb.host_a.uplink.send(stray)
+            stray = make_udp(A_MAC, MacAddress.from_index(9),
+                             A_IP, B_IP, 1, 2, 64)
+            tb.hosts[0].uplink.send(stray)
 
         _assert_demoted_end_to_end(tb, eps_a, eps_b, flood)
-        assert tb.host_a.machine.ff.demotions[REASON_SWITCH] >= 1
+        assert tb.hosts[0].machine.ff.demotions[REASON_SWITCH] >= 1
 
     def test_mac_move_demotes_both_ends(self):
         tb, eps_a, eps_b = _rack_pair()
@@ -240,22 +242,22 @@ class TestCrossMachineBoundaries:
         # B's MAC shows up on A's port: a table *move*, the classic
         # mobility/misconfiguration event. Everything bound demotes and
         # the pending bulk flushes against the pre-move table.
-        imposter = make_udp(HOST_B_MAC, MacAddress.from_index(9),
-                            HOST_B_IP, HOST_A_IP, 3, 4, 64)
-        tb.host_a.uplink.send(imposter)
+        imposter = make_udp(B_MAC, MacAddress.from_index(9),
+                            B_IP, A_IP, 3, 4, 64)
+        tb.hosts[0].uplink.send(imposter)
         tb.run_all()
         assert tb.rack.bound == 0
-        assert not tb.host_a.machine.ff.promoted(_flow())
-        assert not tb.host_b.machine.ff.promoted(_flow())
-        assert tb.host_a.machine.ff.demotions[REASON_SWITCH] >= 1
+        assert not tb.hosts[0].machine.ff.promoted(_flow())
+        assert not tb.hosts[1].machine.ff.promoted(_flow())
+        assert tb.hosts[0].machine.ff.demotions[REASON_SWITCH] >= 1
         # The flush happened before the move took effect: all four sends
         # made it to B.
         assert _drain(tb, eps_b) == 4
 
 
 class TestChargingEquivalence:
-    """Cross-machine group charging ≡ per-flow charging ≡ exact, on every
-    counted observable — the rack analogue of the single-host property."""
+    """Cross-machine group charging ≡ exact, on every counted observable —
+    the rack analogue of the single-host property."""
 
     def _observe(self, costs, n_conns, rounds):
         tb, eps_a, eps_b = _rack_pair(costs=costs, n_conns=n_conns)
@@ -264,8 +266,8 @@ class TestChargingEquivalence:
             tb.rack.flush_all()
             tb.run_all()
         delivered = _drain(tb, eps_b)
-        nic_a = tb.host_a.dataplane.nic
-        nic_b = tb.host_b.dataplane.nic
+        nic_a = tb.hosts[0].dataplane.nic
+        nic_b = tb.hosts[1].dataplane.nic
         return {
             "delivered": delivered,
             "a_tx": int(nic_a.metrics.counter("tx_pkts").value),
@@ -273,9 +275,9 @@ class TestChargingEquivalence:
             "frames": int(tb.switch.metrics.counter("frames").value),
             "flooded": int(tb.switch.metrics.counter("flooded").value),
             "up_sent": int(_uplink_sent(tb)),
-            "up_bytes": int(tb.host_a.uplink.metrics.meter("bytes").total_bytes),
-            "down_sent": int(tb.host_b.downlink.metrics.counter("sent").value),
-            "a_mmio": int(tb.host_a.machine.dma.metrics.counter("mmio_writes").value),
+            "up_bytes": int(tb.hosts[0].uplink.metrics.meter("bytes").total_bytes),
+            "down_sent": int(tb.hosts[1].downlink.metrics.counter("sent").value),
+            "a_mmio": int(tb.hosts[0].machine.dma.metrics.counter("mmio_writes").value),
         }
 
     @given(
@@ -283,12 +285,11 @@ class TestChargingEquivalence:
         rounds=st.integers(min_value=4, max_value=7),
     )
     @settings(max_examples=6, deadline=None)
-    def test_group_equals_per_flow_equals_exact(self, n_conns, rounds):
+    def test_group_equals_exact(self, n_conns, rounds):
         exact = self._observe(
             DEFAULT_COSTS.replace(flow_fastpath=True), n_conns, rounds)
-        per_flow = self._observe(_costs(ff_group=False), n_conns, rounds)
-        group = self._observe(_costs(ff_group=True), n_conns, rounds)
-        assert exact == per_flow == group
+        group = self._observe(_costs(), n_conns, rounds)
+        assert exact == group
 
 
 class TestSeedIdentity:
@@ -297,11 +298,11 @@ class TestSeedIdentity:
     trace is identical to the knob-off tree."""
 
     def test_default_costs_build_no_rack(self):
-        tb = TwoHostTestbed(NormanOS, NormanOS)
+        tb = _pair()
         assert tb.rack is None
-        assert tb.host_a.machine.ff is None
-        assert not tb.host_a.uplink.has_fluid_rx
-        assert not tb.host_b.downlink.has_fluid_rx
+        assert tb.hosts[0].machine.ff is None
+        assert not tb.hosts[0].uplink.has_fluid_rx
+        assert not tb.hosts[1].downlink.has_fluid_rx
 
     @staticmethod
     def _fingerprint(costs):
@@ -312,12 +313,12 @@ class TestSeedIdentity:
             "end_time": tb.sim.now,
             "events": tb.sim.events_fired,
             "delivered": delivered,
-            "a_tx": tb.host_a.dataplane.nic.metrics.counter("tx_pkts").value,
-            "b_rx": tb.host_b.dataplane.nic.metrics.counter("rx_pkts").value,
+            "a_tx": tb.hosts[0].dataplane.nic.metrics.counter("tx_pkts").value,
+            "b_rx": tb.hosts[1].dataplane.nic.metrics.counter("rx_pkts").value,
             "frames": tb.switch.metrics.counter("frames").value,
             "up_sent": _uplink_sent(tb),
-            "busy_a": tuple(c.busy_ns for c in tb.host_a.machine.cpus.cores),
-            "busy_b": tuple(c.busy_ns for c in tb.host_b.machine.cpus.cores),
+            "busy_a": tuple(c.busy_ns for c in tb.hosts[0].machine.cpus.cores),
+            "busy_b": tuple(c.busy_ns for c in tb.hosts[1].machine.cpus.cores),
         }
 
     def test_knob_on_without_promotion_is_trace_identical(self):
