@@ -88,7 +88,7 @@ class ControlPlane:
 
         nic.conn_resolver = self._conns.get
         nic.notify = self._post_notification
-        nic.on_arp = self._observe_arp
+        nic.on_arp = self._learn_arp
         nic.fallback_rx = kernel.netstack.deliver
 
         # Every overlay slot (filters, classifier, policer, custom programs)
@@ -618,5 +618,5 @@ class ControlPlane:
         self._ensure_notifq(proc).enable_interrupts(True)
         return woken
 
-    def _observe_arp(self, pkt) -> None:
+    def _learn_arp(self, pkt) -> None:
         self.kernel.arp_cache.observe(pkt, self.machine.sim.now)

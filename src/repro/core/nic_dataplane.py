@@ -295,7 +295,7 @@ class KopiNic:
         if pkt.is_arp:
             return
         if self.conntrack is not None:
-            self._observe_conntrack(pkt, fp_entry, fp_hit,
+            self._track_conntrack(pkt, fp_entry, fp_hit,
                                     tenant=self._tenant_of(conn, pkt))
         if conn is None or conn.closed:
             if self.fallback_rx is not None:
@@ -314,7 +314,7 @@ class KopiNic:
             return
         self._deliver_to_ring(pkt, conn)
 
-    def _observe_conntrack(self, pkt: Packet, fp_entry, fp_hit: bool,
+    def _track_conntrack(self, pkt: Packet, fp_entry, fp_hit: bool,
                            tenant=None) -> None:
         """Conntrack update for one packet. A flow-cache hit updates the
         cached :class:`~repro.core.conntrack.CtEntry` in place (exact
@@ -605,7 +605,7 @@ class KopiNic:
             return
         tenant = self._tenant_of(conn, pkt)
         if self.conntrack is not None and not pkt.is_arp:
-            self._observe_conntrack(pkt, fp_entry, fp_hit, tenant=tenant)
+            self._track_conntrack(pkt, fp_entry, fp_hit, tenant=tenant)
         if self.nat is not None and not pkt.is_arp:
             translated = self.nat.translate_out(pkt)
             if translated is None:

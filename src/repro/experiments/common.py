@@ -17,6 +17,7 @@ from ..dataplanes import (
 )
 from ..dataplanes.base import Dataplane
 from ..apps import BulkSender
+from ..sim.stats import coverage, is_modelled_time
 
 Row = Dict[str, object]
 
@@ -54,6 +55,15 @@ def fmt_table(rows: Sequence[Row], columns: Optional[List[str]] = None) -> str:
     for row in rows:
         out.append("".join(cell(row.get(c, "")).ljust(widths[c]) for c in cols))
     return "\n".join(out)
+
+
+def parity_report(result: Dict[str, object]) -> str:
+    """A :func:`~repro.sim.stats.parity` result for the report: its
+    coverage line, then the rows that failed or were compared as
+    modeled time (every other compared key is an exact match)."""
+    shown = [r for r in result["rows"]  # type: ignore[attr-defined]
+             if not r["ok"] or is_modelled_time(r["key"])]
+    return coverage(result) + "\n" + fmt_table(shown)
 
 
 def copy_summary(ledger: CopyLedger) -> Dict[str, int]:

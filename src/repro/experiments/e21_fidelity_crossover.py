@@ -10,15 +10,17 @@ This experiment is the safety case for that approximation, in two legs:
 * **(a) fidelity parity** — the same E8-style KOPI workload (N listener
   connections, batched peer bursts, application drains) runs twice from
   identical schedules: packet-exact (``fast_forward`` off) and hybrid
-  (``fast_forward`` on). Every observable the suite's arguments rest on
-  must agree: delivered messages, verdict-cache hit/miss counters, the
-  DMA copy ledger, app-core CPU nanoseconds, and the per-stage service
-  work decomposition (``work_by_stage(include_wait=False)`` — residency
-  waits are workload timing, which fluid epochs deliberately do not
-  model). Counters must match *exactly*; modeled time within
-  ``CostModel.ff_tolerance``. Conservation (span sums == end-to-end
-  latency) must hold on both legs — for fluid epochs it holds by
-  construction, which is the point of profile-shaped charging.
+  (``fast_forward`` on). Each leg's whole-simulation stats snapshot
+  (:func:`repro.sim.stats.snapshot`, plus the messages the application
+  read) is compared key by key with :func:`repro.sim.stats.parity`:
+  counters *exactly*, modeled time (CPU busy ns, the per-stage service
+  work — residency waits are workload timing, which fluid epochs
+  deliberately do not model) within ``CostModel.ff_tolerance``, and a
+  difference is excused only where :data:`repro.sim.stats.EXEMPT` names
+  the key.
+  Conservation (span sums == end-to-end latency) must hold on both legs —
+  for fluid epochs it holds by construction, which is the point of
+  profile-shaped charging.
 * **(b) wall-clock crossover** — the E8 sweep scaled to 100k+
   connections (UDP and TCP port pools; one host runs out of UDP ports at
   64k). The hybrid leg warms each flow with exact packets until
@@ -33,7 +35,7 @@ This experiment is the safety case for that approximation, in two legs:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from .. import units
 from ..config import DEFAULT_COSTS, CostModel
@@ -42,7 +44,8 @@ from ..dataplanes import Testbed
 from ..dataplanes.testbed import HOST_IP, PEER_IP
 from ..net.flow import FiveTuple
 from ..net.headers import PROTO_TCP, PROTO_UDP
-from .common import Row, fmt_table
+from ..sim.stats import parity, snapshot
+from .common import Row, fmt_table, parity_report
 
 PAYLOAD = 1_458
 BURST_PER_CONN = 4
@@ -56,19 +59,6 @@ PROBE_CONNS = 2_048
 #: Unprivileged port pool per protocol (1025..65535).
 _PORT_BASE = 1_025
 _PORTS_PER_PROTO = 65_535 - _PORT_BASE + 1
-
-#: The counters that must match *exactly* between the two parity legs.
-EXACT_KEYS = (
-    "delivered", "rx_pkts", "fp_hits", "fp_misses",
-    "dma_bytes", "dma_ops",
-)
-#: Modeled-time observables compared within ``ff_tolerance``.
-TOLERANCE_KEYS = ("cpu_busy_ns", "service_ns_per_pkt")
-
-PARITY_COLUMNS = [
-    "observable", "exact", "hybrid", "rel_err", "ok",
-]
-
 
 def _conn_slots(n_conns: int) -> "List[tuple[int, int]]":
     """(proto, port) for each of ``n_conns`` — UDP first, TCP once the
@@ -122,50 +112,23 @@ def _drain(tb: Testbed, eps, per_conn: int, subset=None) -> int:
             return consumed[0]
 
 
-def _leg_testbed(n_conns: int, costs: CostModel, n_cores: int = 8) -> Testbed:
+def _leg_testbed(n_conns: int, costs: CostModel,
+                 n_cores: int = 8) -> Tuple[Testbed, list, list]:
+    """A KOPI testbed with ``n_conns`` listeners spread over the app
+    cores; returns it with the endpoints and their (proto, port) slots."""
     tb = Testbed(
         NormanOS, costs=costs, n_cores=n_cores,
         structural_cache=False, shared_rings=True,
     )
-    app_cores = list(range(1, len(tb.machine.cpus)))
-    procs = [tb.spawn(f"srv{c}", "bob", core_id=c) for c in app_cores]
+    procs = [tb.spawn(f"srv{c}", "bob", core_id=c)
+             for c in range(1, len(tb.machine.cpus))]
     slots = _conn_slots(n_conns)
     eps = [
         tb.dataplane.open_endpoint(procs[i % len(procs)], proto, port)
         for i, (proto, port) in enumerate(slots)
     ]
     tb.run_all()
-    tb._e21_slots = slots  # type: ignore[attr-defined]
-    tb._e21_eps = eps  # type: ignore[attr-defined]
-    tb._e21_app_cores = app_cores  # type: ignore[attr-defined]
-    return tb
-
-
-def _observe(tb: Testbed, delivered: int, busy0: int, wall_s: float) -> Dict[str, object]:
-    m = tb.machine
-    fp = m.fastpath
-    tracer = m.tracer
-    work = tracer.work_by_stage(include_wait=False) if tracer.enabled else {}
-    service_ns = sum(work.values())
-    closed = tracer.closed_contexts() if tracer.enabled else []
-    dma = m.copies.layer("dma_direct")
-    obs: Dict[str, object] = {
-        "delivered": delivered,
-        "rx_pkts": int(tb.dataplane.nic.metrics.counter("rx_pkts").value),
-        "fp_hits": fp.hits if fp is not None else 0,
-        "fp_misses": fp.misses if fp is not None else 0,
-        "dma_bytes": dma.bytes_copied,
-        "dma_ops": dma.copies,
-        "cpu_busy_ns": m.cpus.total_busy_ns() - busy0,
-        "service_ns_per_pkt": service_ns / max(delivered, 1),
-        "work_by_stage": work,
-        "conserved": all(c.span_sum() == c.latency_ns() for c in closed),
-        "wall_s": wall_s,
-        "events": tb.sim.events_fired,
-    }
-    if m.ff is not None:
-        obs["ff"] = m.ff.stats()
-    return obs
+    return tb, eps, slots
 
 
 def run_leg(
@@ -175,14 +138,14 @@ def run_leg(
     fast_forward: bool,
 ) -> Dict[str, object]:
     """One parity leg: identical schedule either way; only the fidelity
-    knob differs."""
+    knob differs. Returns the simulation's stats snapshot (plus the
+    messages the application read, ``app/delivered``), the wall time and
+    the events fired."""
     leg_costs = costs.replace(
         trace=True, flow_fastpath=True, fast_forward=fast_forward,
         flow_fastpath_entries=max(costs.flow_fastpath_entries, 4 * n_conns),
     )
-    tb = _leg_testbed(n_conns, leg_costs)
-    eps, slots = tb._e21_eps, tb._e21_slots  # type: ignore[attr-defined]
-    busy0 = tb.machine.cpus.total_busy_ns()
+    tb, eps, slots = _leg_testbed(n_conns, leg_costs)
     rounds = max(1, packets_total // (BURST_PER_CONN * n_conns))
     delivered = 0
     t0 = time.perf_counter()
@@ -191,7 +154,17 @@ def run_leg(
         tb.run_all()
         delivered += _drain(tb, eps, BURST_PER_CONN)
     wall = time.perf_counter() - t0
-    return _observe(tb, delivered, busy0, wall)
+    stats = snapshot(tb)
+    stats["app/delivered"] = float(delivered)
+    return {"stats": stats, "wall_s": wall, "events": tb.sim.events_fired}
+
+
+def ff_stats(stats: Dict[str, float],
+             prefix: str = "machine/ff/") -> Dict[str, float]:
+    """The counters under ``prefix`` in a snapshot (by default one
+    machine's fast-forward controller), keyed by their own names."""
+    return {k[len(prefix):]: v for k, v in stats.items()
+            if k.startswith(prefix)}
 
 
 def run_parity(
@@ -204,40 +177,18 @@ def run_parity(
     exact = run_leg(n_conns, packets_total, costs, fast_forward=False)
     hybrid = run_leg(n_conns, packets_total, costs, fast_forward=True)
     tol = costs.ff_tolerance
-    rows: List[Row] = []
-    ok = True
-    for key in EXACT_KEYS + TOLERANCE_KEYS:
-        e, h = float(exact[key]), float(hybrid[key])
-        err = abs(h - e) / max(abs(e), 1e-9)
-        this_ok = (h == e) if key in EXACT_KEYS else (err <= tol)
-        ok = ok and this_ok
-        rows.append({
-            "observable": key, "exact": e, "hybrid": h,
-            "rel_err": err, "ok": this_ok,
-        })
-    stage_rows: List[Row] = []
-    stages = sorted(set(exact["work_by_stage"]) | set(hybrid["work_by_stage"]))
-    for stage in stages:
-        e = float(exact["work_by_stage"].get(stage, 0))
-        h = float(hybrid["work_by_stage"].get(stage, 0))
-        err = abs(h - e) / max(abs(e), 1e-9)
-        this_ok = err <= tol
-        ok = ok and this_ok
-        stage_rows.append({
-            "observable": f"stage:{stage}", "exact": e, "hybrid": h,
-            "rel_err": err, "ok": this_ok,
-        })
-    ok = ok and exact["conserved"] and hybrid["conserved"]
-    ff = hybrid["ff"]
-    fluid_fraction = ff["fluid_packets"] / max(hybrid["delivered"], 1)
+    result = parity(exact["stats"], hybrid["stats"], tol)
+    conserved = all(leg["stats"]["machine/tracer/conserved"] == 1.0
+                    for leg in (exact, hybrid))
+    ff = ff_stats(hybrid["stats"])
     return {
-        "rows": rows,
-        "stage_rows": stage_rows,
+        **result,
+        "ok": bool(result["ok"] and conserved),
         "exact": exact,
         "hybrid": hybrid,
-        "ok": bool(ok),
         "tolerance": tol,
-        "fluid_fraction": fluid_fraction,
+        "fluid_fraction": (ff["fluid_packets"]
+                           / max(hybrid["stats"]["app/delivered"], 1)),
         "ff": ff,
     }
 
@@ -271,8 +222,7 @@ def run_speedup(
     # absorb the rest of each flow's schedule in bulk.
     hy_costs = base.replace(fast_forward=True, ff_promote_after=1)
     warmup = 1 + hy_costs.ff_promote_after  # install miss + promotion streak
-    tb = _leg_testbed(n_conns, hy_costs)
-    eps, slots = tb._e21_eps, tb._e21_slots  # type: ignore[attr-defined]
+    tb, eps, slots = _leg_testbed(n_conns, hy_costs)
     ff = tb.machine.ff
     assert ff is not None
     t0 = time.perf_counter()
@@ -296,8 +246,7 @@ def run_speedup(
     # Exact probe: same scale, same capacity, fast_forward off; traffic on
     # a sample of the population (per-packet cost is what's being measured
     # — the structures are all at full size).
-    ex = _leg_testbed(n_conns, base)
-    ex_eps, ex_slots = ex._e21_eps, ex._e21_slots  # type: ignore[attr-defined]
+    ex, ex_eps, ex_slots = _leg_testbed(n_conns, base)
     subset = range(0, min(probe_conns, n_conns))
     t0 = time.perf_counter()
     for _ in range(2):
@@ -331,9 +280,7 @@ def headline(parity: Dict[str, object], speedup: Optional[Row]) -> dict:
         "parity_ok": parity["ok"],
         "tolerance": parity["tolerance"],
         "fluid_fraction": parity["fluid_fraction"],
-        "max_rel_err": max(
-            float(r["rel_err"]) for r in parity["rows"] + parity["stage_rows"]
-        ),
+        "max_rel_err": parity["max_rel_err"],
     }
     if speedup is not None:
         h["connections"] = speedup["connections"]
@@ -346,13 +293,13 @@ def main() -> str:
     speedup = run_speedup()
     h = headline(parity, speedup)
     return "\n".join([
-        "fidelity parity (exact vs hybrid, identical schedules)",
-        fmt_table(parity["rows"] + parity["stage_rows"], columns=PARITY_COLUMNS),
+        "fidelity parity (a = exact vs b = hybrid, identical schedules)",
+        parity_report(parity),
         "",
         "wall-clock crossover (hybrid at scale vs packet-exact probe)",
         fmt_table([speedup]),
         "",
-        f"headline: hybrid fidelity is invisible in the observables "
+        f"headline: hybrid fidelity is invisible in the snapshot "
         f"(max relative error {h['max_rel_err']:.4%} against a "
         f"{h['tolerance']:.0%} tolerance, {h['fluid_fraction']:.0%} of "
         f"packets fluid) and {h['speedup']:.0f}x faster per packet at "

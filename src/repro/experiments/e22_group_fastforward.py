@@ -11,13 +11,12 @@ interposition boundaries. Two legs defend the change:
 
 * **(a) fidelity parity** — an RX+TX workload (peer bursts drained by the
   application, plus spaced application sends toward the peer) runs twice
-  from identical schedules: packet-exact vs hybrid.
-  Every counted observable must match *exactly* — the E21 RX set
-  (delivered, verdict-cache hits/misses, DMA direct ledger) plus the TX
-  set: NIC ``tx_pkts``, peer ``rx_pkts``/``rx_bytes``,
-  egress link ``sent``, qdisc ``enqueued``/``emitted``, doorbell
-  ``mmio_writes``, and the TX DMA copy ledger. Modeled time (CPU busy,
-  per-stage service work) agrees within ``CostModel.ff_tolerance``.
+  from identical schedules: packet-exact vs hybrid. The two legs'
+  whole-simulation stats snapshots (plus the messages the application
+  read and sent) go through :func:`repro.sim.stats.parity` exactly as in
+  E21 — on top of the RX side this covers NIC ``tx_pkts``, the peer's
+  ``rx_pkts``/``rx_bytes``, the egress link, the qdisc, doorbell
+  ``mmio_writes`` and the TX DMA copy ledger.
 * **(b) group scale** — at 100k+ connections, every flow is warmed to
   promotion and an absorb/flush schedule runs over the whole population.
   The check is structural and deterministic: every connection promoted,
@@ -30,26 +29,23 @@ interposition boundaries. Two legs defend the change:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional
 
 from ..config import DEFAULT_COSTS, CostModel
 from ..dataplanes import Testbed
 from ..dataplanes.testbed import HOST_IP, PEER_IP
-from ..host.copies import LAYER_DMA
 from ..net.flow import FiveTuple
-from .common import Row, fmt_table
+from ..sim.stats import parity, snapshot
+from .common import Row, fmt_table, parity_report
 from .e21_fidelity_crossover import (
     BURST_PER_CONN,
-    PARITY_COLUMNS,
     PAYLOAD,
-    TOLERANCE_KEYS,
     _drain,
     _leg_testbed,
-    _observe,
     _send_burst,
     _speedup_costs,
+    ff_stats,
 )
-from .e21_fidelity_crossover import EXACT_KEYS as RX_EXACT_KEYS
 
 PARITY_CONNS = 256
 PARITY_ROUNDS = 4
@@ -70,16 +66,6 @@ GROUP_ROUNDS = 4
 #: epoch must stand for more than this many flow-rounds.
 MIN_FLOW_ROUNDS_PER_EPOCH = 10
 
-#: TX-side counters that must match exactly between the parity legs, on
-#: top of E21's RX set.
-TX_EXACT_KEYS = (
-    "tx_sent", "tx_pkts", "peer_rx_pkts", "peer_rx_bytes", "egress_sent",
-    "qdisc_enqueued", "qdisc_emitted", "mmio_writes",
-    "dma_tx_bytes", "dma_tx_ops",
-)
-EXACT_KEYS = RX_EXACT_KEYS + TX_EXACT_KEYS
-
-
 def _send_tx(tb: Testbed, eps, per_conn: int) -> int:
     """Schedule ``per_conn`` spaced single-packet sends from every
     endpoint toward the peer. Returns the number scheduled."""
@@ -90,25 +76,6 @@ def _send_tx(tb: Testbed, eps, per_conn: int) -> int:
             tb.sim.at(base + i * TX_GAP_NS, ep.send, PAYLOAD, (PEER_IP, 600))
             i += 1
     return i
-
-
-def _observe_tx(tb: Testbed, obs: Dict[str, object], tx_sent: int) -> Dict[str, object]:
-    """Augment E21's observable dict with the TX-side counted set."""
-    nic = tb.dataplane.nic
-    dma_tx = tb.machine.copies.layer(LAYER_DMA)
-    obs.update({
-        "tx_sent": tx_sent,
-        "tx_pkts": int(nic.metrics.counter("tx_pkts").value),
-        "peer_rx_pkts": int(tb.peer.metrics.counter("rx_pkts").value),
-        "peer_rx_bytes": int(tb.peer.metrics.meter("rx_bytes").total_bytes),
-        "egress_sent": int(tb.egress.metrics.counter("sent").value),
-        "qdisc_enqueued": int(nic.scheduler.metrics.counter("enqueued").value),
-        "qdisc_emitted": int(nic.scheduler.metrics.counter("emitted").value),
-        "mmio_writes": int(tb.machine.dma.metrics.counter("mmio_writes").value),
-        "dma_tx_bytes": dma_tx.bytes_copied,
-        "dma_tx_ops": dma_tx.copies,
-    })
-    return obs
 
 
 def run_leg(
@@ -124,9 +91,7 @@ def run_leg(
         trace=True, flow_fastpath=True, fast_forward=fast_forward,
         flow_fastpath_entries=max(costs.flow_fastpath_entries, 4 * n_conns),
     )
-    tb = _leg_testbed(n_conns, leg_costs)
-    eps, slots = tb._e21_eps, tb._e21_slots  # type: ignore[attr-defined]
-    busy0 = tb.machine.cpus.total_busy_ns()
+    tb, eps, slots = _leg_testbed(n_conns, leg_costs)
     delivered = 0
     tx_sent = 0
     t0 = time.perf_counter()
@@ -137,8 +102,10 @@ def run_leg(
         tx_sent += _send_tx(tb, eps, TX_PER_ROUND)
         tb.run_all()
     wall = time.perf_counter() - t0
-    obs = _observe(tb, delivered, busy0, wall)
-    return _observe_tx(tb, obs, tx_sent)
+    stats = snapshot(tb)
+    stats["app/delivered"] = float(delivered)
+    stats["app/tx_sent"] = float(tx_sent)
+    return {"stats": stats, "wall_s": wall, "events": tb.sim.events_fired}
 
 
 def run_parity(
@@ -151,46 +118,23 @@ def run_parity(
     exact = run_leg(n_conns, rounds, costs, fast_forward=False)
     hybrid = run_leg(n_conns, rounds, costs, fast_forward=True)
     tol = costs.ff_tolerance
-    rows: List[Row] = []
-    ok = True
-    for key in EXACT_KEYS + TOLERANCE_KEYS:
-        e, h = float(exact[key]), float(hybrid[key])
-        err = abs(h - e) / max(abs(e), 1e-9)
-        this_ok = (h == e) if key in EXACT_KEYS else (err <= tol)
-        ok = ok and this_ok
-        rows.append({
-            "observable": key, "exact": e, "hybrid": h,
-            "rel_err": err, "ok": this_ok,
-        })
-    stage_rows: List[Row] = []
-    stages = sorted(set(exact["work_by_stage"]) | set(hybrid["work_by_stage"]))
-    for stage in stages:
-        e = float(exact["work_by_stage"].get(stage, 0))
-        h = float(hybrid["work_by_stage"].get(stage, 0))
-        err = abs(h - e) / max(abs(e), 1e-9)
-        this_ok = err <= tol
-        ok = ok and this_ok
-        stage_rows.append({
-            "observable": f"stage:{stage}", "exact": e, "hybrid": h,
-            "rel_err": err, "ok": this_ok,
-        })
-    ok = ok and exact["conserved"] and hybrid["conserved"]
-    ff = hybrid["ff"]
-    total_pkts = int(hybrid["delivered"]) + int(hybrid["tx_sent"])
-    fluid_fraction = ff["fluid_packets"] / max(total_pkts, 1)
+    result = parity(exact["stats"], hybrid["stats"], tol)
+    conserved = all(leg["stats"]["machine/tracer/conserved"] == 1.0
+                    for leg in (exact, hybrid))
+    ff = ff_stats(hybrid["stats"])
+    total_pkts = (hybrid["stats"]["app/delivered"]
+                  + hybrid["stats"]["app/tx_sent"])
     # Grouping must actually engage on both directions: RX and TX flows
     # promote on different planes, so a grouped hybrid leg sees >= 2
     # distinct groups and at least one group epoch.
     grouped = ff.get("group_epochs", 0) > 0 and ff.get("groups", 0) >= 2
-    ok = ok and grouped
     return {
-        "rows": rows,
-        "stage_rows": stage_rows,
+        **result,
+        "ok": bool(result["ok"] and conserved and grouped),
         "exact": exact,
         "hybrid": hybrid,
-        "ok": bool(ok),
         "tolerance": tol,
-        "fluid_fraction": fluid_fraction,
+        "fluid_fraction": ff["fluid_packets"] / max(total_pkts, 1),
         "grouped": bool(grouped),
         "ff": ff,
     }
@@ -208,8 +152,7 @@ def run_group_scale(
     leg_costs = _speedup_costs(costs, n_conns).replace(
         fast_forward=True, ff_promote_after=1,
     )
-    tb = _leg_testbed(n_conns, leg_costs)
-    eps, slots = tb._e21_eps, tb._e21_slots  # type: ignore[attr-defined]
+    tb, eps, slots = _leg_testbed(n_conns, leg_costs)
     ff = tb.machine.ff
     assert ff is not None
     warmup = 1 + leg_costs.ff_promote_after  # install miss + promotion streak
@@ -252,9 +195,7 @@ def headline(parity: Dict[str, object], scale: Optional[Row]) -> dict:
         "tolerance": parity["tolerance"],
         "fluid_fraction": parity["fluid_fraction"],
         "grouped": parity["grouped"],
-        "max_rel_err": max(
-            float(r["rel_err"]) for r in parity["rows"] + parity["stage_rows"]
-        ),
+        "max_rel_err": parity["max_rel_err"],
     }
     if scale is not None:
         h["connections"] = scale["connections"]
@@ -268,14 +209,15 @@ def main() -> str:
     scale = run_group_scale()
     h = headline(parity, scale)
     return "\n".join([
-        "group + TX fast-forward parity (exact vs hybrid, RX and TX schedules)",
-        fmt_table(parity["rows"] + parity["stage_rows"], columns=PARITY_COLUMNS),
+        "group + TX fast-forward parity (a = exact vs b = hybrid, RX and TX "
+        "schedules)",
+        parity_report(parity),
         "",
         "group epochs at scale (one epoch per group, not per flow)",
         fmt_table([scale]),
         "",
         f"headline: flow groups and TX fast-forward stay invisible in the "
-        f"counted observables (max relative error {h['max_rel_err']:.4%} "
+        f"snapshot (max relative error {h['max_rel_err']:.4%} "
         f"against a {h['tolerance']:.0%} tolerance, {h['fluid_fraction']:.0%} "
         f"of packets fluid) and {h['flow_rounds']:,} flow-rounds at "
         f"{h['connections']:,} connections cost {h['group_epochs']:,} "

@@ -16,16 +16,15 @@ boundary's effect is simulated. Two legs defend it:
 
 * **(a) fidelity parity** — an A→switch→B workload (spaced single sends,
   drained by the receiving application) runs twice from identical
-  schedules: packet-exact vs cross-machine fluid. Every counted
-  observable must match *exactly*: delivered messages, both hosts' NIC
-  packet counters, doorbell MMIO writes, both copy ledgers (TX DMA on A,
-  DMA-direct on B), both verdict caches' hit/miss counters, the qdisc
-  transit counters, switch frame/flood counters, and both links' packet
-  and byte meters. Modeled CPU time agrees within
-  ``CostModel.ff_tolerance``; trace-span conservation status per host
-  must agree between the legs (cross-host TX contexts are closed at the
-  far end of the *uplink*, then the downlink's wire time lands on the
-  closed context — a pre-existing exact-mode property that fluid replay
+  schedules: packet-exact vs cross-machine fluid. The two legs' rack
+  snapshots — both hosts, the switch and every link — go through
+  :func:`repro.sim.stats.parity` as in E21: counters exactly, modeled
+  time within ``CostModel.ff_tolerance``, differences excused only
+  where :data:`repro.sim.stats.EXEMPT` names the key. Trace-span
+  conservation status per host is one of the exact keys, so it must
+  agree between the legs (cross-host TX contexts are closed at the far
+  end of the *uplink*, then the downlink's wire time lands on the closed
+  context — a pre-existing exact-mode property that fluid replay
   reproduces by carrying the downlink span in the extended profile).
 * **(b) wall-clock crossover** — 10k+ cross-host connections. The
   baseline is this repo's previous best: ``fast_forward`` on but
@@ -39,16 +38,16 @@ boundary's effect is simulated. Two legs defend it:
 from __future__ import annotations
 
 import time
-from typing import Dict, List, Optional
+from typing import Dict, Optional, Tuple
 
 from ..config import DEFAULT_COSTS, CostModel
 from ..core import NormanOS
 from ..dataplanes.multihost import HostSpec, Rack, rack_ip
-from ..host.copies import LAYER_DMA, LAYER_DMA_DIRECT
 from ..net.flow import FiveTuple
 from ..net.headers import PROTO_UDP
-from .common import Row, fmt_table
-from .e21_fidelity_crossover import PARITY_COLUMNS
+from ..sim.stats import parity, snapshot
+from .common import Row, fmt_table, parity_report
+from .e21_fidelity_crossover import ff_stats
 
 PAYLOAD = 1_458
 PARITY_CONNS = 128
@@ -73,21 +72,6 @@ A_PORT_BASE = 22_000
 #: links stay empty: the steady state the end-to-end profile captures.
 SEND_GAP_NS = 2_000
 
-#: Counters that must match exactly between the parity legs.
-EXACT_KEYS = (
-    "b_delivered",
-    "a_tx_pkts", "b_rx_pkts",
-    "a_mmio_writes",
-    "a_dma_bytes", "a_dma_ops", "b_dma_bytes", "b_dma_ops",
-    "a_fp_hits", "a_fp_misses", "b_fp_hits", "b_fp_misses",
-    "a_qdisc_enqueued", "a_qdisc_emitted",
-    "switch_frames", "switch_flooded",
-    "uplink_sent", "uplink_bytes", "downlink_sent", "downlink_bytes",
-)
-#: Modeled-time observables compared within ``ff_tolerance``.
-TOLERANCE_KEYS = ("a_cpu_busy_ns", "b_cpu_busy_ns")
-
-
 def _hybrid_costs(costs: CostModel, n_conns: int, cross: bool) -> CostModel:
     """Capacity sized for the population on *both* machines, with the
     fidelity knobs for one leg: ``cross=False`` is the demote-at-wire
@@ -104,11 +88,12 @@ def _hybrid_costs(costs: CostModel, n_conns: int, cross: bool) -> CostModel:
 
 
 def _rack_testbed(n_conns: int, costs: CostModel,
-                  n_cores: int = 4) -> Rack:
+                  n_cores: int = 4) -> Tuple[Rack, list, list]:
     """Two Norman hosts on one switch, ``n_conns`` A→B connections, and
     the switch taught where B lives (one B→A packet — the ARP-reply
     analogue; without it every A→B frame floods and no switch path is
-    ever frozen). Identical in every leg, so it cancels in parity."""
+    ever frozen). Identical in every leg, so it cancels in parity.
+    Returns the rack with A's and B's endpoints."""
     tb = Rack([HostSpec.indexed(0, "hostA", NormanOS),
                HostSpec.indexed(1, "hostB", NormanOS)],
               costs=costs, n_cores=n_cores)
@@ -131,9 +116,7 @@ def _rack_testbed(n_conns: int, costs: CostModel,
     tb.run_all()
     b_eps[0].send(64, (A_IP, A_PORT_BASE))
     tb.run_all()
-    tb._e23_a_eps = a_eps  # type: ignore[attr-defined]
-    tb._e23_b_eps = b_eps  # type: ignore[attr-defined]
-    return tb
+    return tb, a_eps, b_eps
 
 
 def _send_round(tb: Rack, a_eps, per_conn: int,
@@ -171,57 +154,6 @@ def _drain_b(tb: Rack, b_eps, per_conn: int, subset=None) -> int:
             return consumed[0]
 
 
-def _host_observables(host, prefix: str, busy0: int,
-                      obs: Dict[str, object]) -> None:
-    m = host.machine
-    fp = m.fastpath
-    tracer = m.tracer
-    work = tracer.work_by_stage(include_wait=False) if tracer.enabled else {}
-    closed = tracer.closed_contexts() if tracer.enabled else []
-    obs[f"{prefix}_fp_hits"] = fp.hits if fp is not None else 0
-    obs[f"{prefix}_fp_misses"] = fp.misses if fp is not None else 0
-    obs[f"{prefix}_cpu_busy_ns"] = m.cpus.total_busy_ns() - busy0
-    obs[f"work_{prefix}"] = work
-    obs[f"conserved_{prefix}"] = all(
-        c.span_sum() == c.latency_ns() for c in closed)
-    if m.ff is not None:
-        obs[f"ff_{prefix}"] = m.ff.stats()
-
-
-def _observe(tb: Rack, delivered: int, busy0_a: int, busy0_b: int,
-             wall_s: float) -> Dict[str, object]:
-    a, b = tb.hosts
-    nic_a = a.dataplane.nic  # type: ignore[attr-defined]
-    nic_b = b.dataplane.nic  # type: ignore[attr-defined]
-    dma_a = a.machine.copies.layer(LAYER_DMA)
-    dma_b = b.machine.copies.layer(LAYER_DMA_DIRECT)
-    obs: Dict[str, object] = {
-        "b_delivered": delivered,
-        "a_tx_pkts": int(nic_a.metrics.counter("tx_pkts").value),
-        "b_rx_pkts": int(nic_b.metrics.counter("rx_pkts").value),
-        "a_mmio_writes": int(a.machine.dma.metrics.counter("mmio_writes").value),
-        "a_dma_bytes": dma_a.bytes_copied,
-        "a_dma_ops": dma_a.copies,
-        "b_dma_bytes": dma_b.bytes_copied,
-        "b_dma_ops": dma_b.copies,
-        "a_qdisc_enqueued": int(nic_a.scheduler.metrics.counter("enqueued").value),
-        "a_qdisc_emitted": int(nic_a.scheduler.metrics.counter("emitted").value),
-        "switch_frames": int(tb.switch.metrics.counter("frames").value),
-        "switch_flooded": int(tb.switch.metrics.counter("flooded").value),
-        "uplink_sent": int(a.uplink.metrics.counter("sent").value),
-        "uplink_bytes": int(a.uplink.metrics.meter("bytes").total_bytes),
-        "downlink_sent": int(b.downlink.metrics.counter("sent").value),
-        "downlink_bytes": int(b.downlink.metrics.meter("bytes").total_bytes),
-        "wall_s": wall_s,
-        "events": tb.sim.events_fired,
-    }
-    _host_observables(a, "a", busy0_a, obs)
-    _host_observables(b, "b", busy0_b, obs)
-    if tb.rack is not None:
-        obs["rack"] = tb.rack.stats()
-    return obs
-
-
 def run_leg(n_conns: int, rounds: int, costs: CostModel,
             exact: bool = False) -> Dict[str, object]:
     """One parity leg: per round, a wave of spaced A→B sends, then B's
@@ -239,11 +171,7 @@ def run_leg(n_conns: int, rounds: int, costs: CostModel,
         leg_costs = leg_costs.replace(
             fast_forward=True, ff_cross_machine=True,
             ff_promote_after=2)
-    tb = _rack_testbed(n_conns, leg_costs)
-    a_eps = tb._e23_a_eps  # type: ignore[attr-defined]
-    b_eps = tb._e23_b_eps  # type: ignore[attr-defined]
-    busy0_a = tb.hosts[0].machine.cpus.total_busy_ns()
-    busy0_b = tb.hosts[1].machine.cpus.total_busy_ns()
+    tb, a_eps, b_eps = _rack_testbed(n_conns, leg_costs)
     delivered = 0
     t0 = time.perf_counter()
     for _round in range(rounds):
@@ -254,7 +182,9 @@ def run_leg(n_conns: int, rounds: int, costs: CostModel,
             tb.run_all()
         delivered += _drain_b(tb, b_eps, SENDS_PER_ROUND)
     wall = time.perf_counter() - t0
-    return _observe(tb, delivered, busy0_a, busy0_b, wall)
+    stats = snapshot(tb)
+    stats["app/delivered"] = float(delivered)
+    return {"stats": stats, "wall_s": wall, "events": tb.sim.events_fired}
 
 
 def run_parity(
@@ -267,53 +197,27 @@ def run_parity(
     exact = run_leg(n_conns, rounds, costs, exact=True)
     hybrid = run_leg(n_conns, rounds, costs)
     tol = costs.ff_tolerance
-    rows: List[Row] = []
-    ok = True
-    for key in EXACT_KEYS + TOLERANCE_KEYS:
-        e, h = float(exact[key]), float(hybrid[key])
-        err = abs(h - e) / max(abs(e), 1e-9)
-        this_ok = (h == e) if key in EXACT_KEYS else (err <= tol)
-        ok = ok and this_ok
-        rows.append({
-            "observable": key, "exact": e, "hybrid": h,
-            "rel_err": err, "ok": this_ok,
-        })
-    stage_rows: List[Row] = []
-    for prefix in ("a", "b"):
-        wk_e, wk_h = exact[f"work_{prefix}"], hybrid[f"work_{prefix}"]
-        for stage in sorted(set(wk_e) | set(wk_h)):
-            e, h = float(wk_e.get(stage, 0)), float(wk_h.get(stage, 0))
-            err = abs(h - e) / max(abs(e), 1e-9)
-            this_ok = err <= tol
-            ok = ok and this_ok
-            stage_rows.append({
-                "observable": f"stage_{prefix}:{stage}", "exact": e,
-                "hybrid": h, "rel_err": err, "ok": this_ok,
-            })
-    # Conservation is an exact-match observable *between legs*, not an
-    # absolute: cross-host TX contexts get the far downlink's wire time
-    # charged after close in exact mode (see module docstring), and the
-    # fluid replay reproduces exactly that. The receive side must agree
-    # too — on this workload B's contexts conserve in both legs except
-    # for B's single switch-teach send, which breaks both equally.
-    conserved_ok = (
-        exact["conserved_a"] == hybrid["conserved_a"]
-        and exact["conserved_b"] == hybrid["conserved_b"]
-    )
-    ok = ok and conserved_ok
-    rack = hybrid.get("rack", {})
+    result = parity(exact["stats"], hybrid["stats"], tol)
+    # Conservation is an exact-match key *between legs*, not an absolute:
+    # cross-host TX contexts get the far downlink's wire time charged
+    # after close in exact mode (see module docstring), and the fluid
+    # replay reproduces exactly that. The receive side must agree too —
+    # on this workload B's contexts conserve in both legs except for B's
+    # single switch-teach send, which breaks both equally.
+    conserved_ok = all(
+        exact["stats"][k] == hybrid["stats"][k]
+        for k in ("hostA/machine/tracer/conserved",
+                  "hostB/machine/tracer/conserved"))
+    rack = ff_stats(hybrid["stats"], "rack/")
     bound_ok = rack.get("bindings", 0) >= n_conns
-    ok = ok and bound_ok
-    ff_a = hybrid.get("ff_a", {})
-    ff_b = hybrid.get("ff_b", {})
-    fluid = ff_a.get("fluid_packets", 0) + ff_b.get("fluid_packets", 0)
-    total = int(hybrid["b_delivered"]) * 2  # each packet has a TX and RX leg
+    fluid = sum(ff_stats(hybrid["stats"], f"{h}/machine/ff/")
+                .get("fluid_packets", 0) for h in ("hostA", "hostB"))
+    total = hybrid["stats"]["app/delivered"] * 2  # a TX and an RX leg each
     return {
-        "rows": rows,
-        "stage_rows": stage_rows,
+        **result,
+        "ok": bool(result["ok"] and conserved_ok and bound_ok),
         "exact": exact,
         "hybrid": hybrid,
-        "ok": bool(ok),
         "tolerance": tol,
         "conserved_ok": bool(conserved_ok),
         "bound_ok": bool(bound_ok),
@@ -346,8 +250,7 @@ def run_crossover(
     # Receiver promotes after miss + streak; the gated TX side needs one
     # more round to see a promoted receiver.
     warmup = 3 + hy.ff_promote_after
-    tb = _rack_testbed(n_conns, hy)
-    a_eps = tb._e23_a_eps  # type: ignore[attr-defined]
+    tb, a_eps, _b_eps = _rack_testbed(n_conns, hy)
     a_ff = tb.hosts[0].machine.ff
     assert a_ff is not None and tb.rack is not None
     t0 = time.perf_counter()
@@ -375,9 +278,7 @@ def run_crossover(
     # only B's RX side absorbs.
     base_costs = _hybrid_costs(costs, n_conns, cross=False).replace(
         ff_promote_after=1)
-    ex = _rack_testbed(n_conns, base_costs)
-    ex_a_eps = ex._e23_a_eps  # type: ignore[attr-defined]
-    ex_b_eps = ex._e23_b_eps  # type: ignore[attr-defined]
+    ex, ex_a_eps, ex_b_eps = _rack_testbed(n_conns, base_costs)
     subset = range(0, min(probe_conns, n_conns))
     t0 = time.perf_counter()
     probe_pkts = 0
@@ -411,9 +312,7 @@ def headline(parity: Dict[str, object], speedup: Optional[Row]) -> dict:
         "tolerance": parity["tolerance"],
         "fluid_fraction": parity["fluid_fraction"],
         "bound_ok": parity["bound_ok"],
-        "max_rel_err": max(
-            float(r["rel_err"]) for r in parity["rows"] + parity["stage_rows"]
-        ),
+        "max_rel_err": parity["max_rel_err"],
     }
     if speedup is not None:
         h["connections"] = speedup["connections"]
@@ -427,15 +326,15 @@ def main() -> str:
     speedup = run_crossover()
     h = headline(parity, speedup)
     return "\n".join([
-        "rack parity (packet-exact vs end-to-end fluid, A -> switch -> B)",
-        fmt_table(parity["rows"] + parity["stage_rows"],
-                  columns=PARITY_COLUMNS),
+        "rack parity (a = packet-exact vs b = end-to-end fluid, "
+        "A -> switch -> B)",
+        parity_report(parity),
         "",
         "rack crossover (end-to-end fluid vs demote-at-wire engine)",
         fmt_table([speedup]),
         "",
-        f"headline: cross-machine fluid epochs are invisible in the counted "
-        f"observables (max relative error {h['max_rel_err']:.4%} against a "
+        f"headline: cross-machine fluid epochs are invisible in the rack "
+        f"snapshot (max relative error {h['max_rel_err']:.4%} against a "
         f"{h['tolerance']:.0%} tolerance, {h['fluid_fraction']:.0%} of "
         f"packet-legs fluid) and {h['speedup']:.1f}x faster than "
         f"demote-at-wire at {h['connections']:,} cross-host connections "

@@ -108,13 +108,3 @@ class PolicyEngine:
 
     def commits_for(self, name: str) -> List[PolicyCommit]:
         return [c for c in self.history if c.point == name]
-
-    # --- introspection -----------------------------------------------------
-
-    def snapshot(self) -> Dict[str, float]:
-        """Flat metrics across every point, plus live versions."""
-        out: Dict[str, float] = {}
-        for point in self._points.values():
-            out.update(point.metrics.snapshot())
-            out[f"interpose.{point.name}.version"] = float(point.version)
-        return out
