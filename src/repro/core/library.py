@@ -232,10 +232,8 @@ class NormanEndpoint(Endpoint):
         machine = self._os.machine
         if machine.llc is not None and lines:
             costs = self._costs
-            total = 0
-            for addr in lines:
-                total += costs.llc_hit_ns if machine.llc.cpu_read(addr) else costs.dram_ns
-            return total
+            hits = machine.llc.cpu_read_lines(lines)
+            return hits * costs.llc_hit_ns + (len(lines) - hits) * costs.dram_ns
         n_lines = len(lines) if lines else 2
         return machine.ddio_model.read_cost_ns(
             self._os.control.active_hot_bytes(), n_lines

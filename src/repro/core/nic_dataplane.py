@@ -335,14 +335,11 @@ class KopiNic:
             fp_entry.ct_entry = entry
 
     def _deliver_to_ring(self, pkt: Packet, conn: NormanConnection) -> None:
-        lines = self._lines_for(pkt)
         ring = conn.rings.rx
-        capped = min(lines, len(ring.region.line_addrs()))
-        addrs = ring.next_lines(capped)
+        addrs = ring.next_lines(self._lines_for(pkt))
         llc = self.machine.llc
         if llc is not None:
-            for addr in addrs:
-                llc.dma_write(addr)
+            llc.dma_write_lines(addrs)
         pkt.meta.notes["lines"] = addrs
         was_empty = ring.is_empty
         if not ring.try_post(pkt):

@@ -19,8 +19,7 @@ Two models of the same mechanism live here:
 
 from __future__ import annotations
 
-from collections import OrderedDict
-from typing import Dict, List
+from typing import Dict, Iterable, List
 
 from ..config import CostModel
 from ..errors import ConfigError
@@ -33,8 +32,11 @@ class WayPartitionedCache:
     """Set-associative LRU cache with a per-set cap on DMA-owned lines.
 
     Addresses are byte addresses; lines are ``line_bytes`` wide; the set
-    index is the usual ``(addr // line) % sets``. Each set is an ordered map
-    ``tag -> owner`` in LRU order (oldest first).
+    index is the usual ``(addr // line) % sets``. Each set is a plain dict
+    ``tag -> owner`` in LRU order (oldest first; a hit re-inserts its tag),
+    and ``_ddio[i]`` counts the DDIO-owned lines of set ``i``. The sets hold
+    only ints and the two owner strings, so the garbage collector never
+    tracks them.
     """
 
     def __init__(
@@ -61,7 +63,8 @@ class WayPartitionedCache:
         already owns the CPU ways of the LLC: DMA-delivered ring data then
         survives in cache only inside the DDIO slice, which is the regime
         the paper's §5 scaling cliff lives in. E8 runs in this mode."""
-        self._lines: List["OrderedDict[int, str]"] = [OrderedDict() for _ in range(sets)]
+        self._lines: List[Dict[int, str]] = [{} for _ in range(sets)]
+        self._ddio: List[int] = [0] * sets
         self.stats: Dict[str, int] = {
             "cpu_hits": 0,
             "cpu_misses": 0,
@@ -90,60 +93,100 @@ class WayPartitionedCache:
     def ddio_capacity_bytes(self) -> int:
         return self.sets * self.ddio_ways * self.line_bytes
 
-    def _locate(self, addr: int) -> "tuple[OrderedDict, int]":
-        line = addr // self.line_bytes
-        return self._lines[line % self.sets], line
-
     # --- operations ---------------------------------------------------------
 
+    def dma_write_lines(self, addrs: Iterable[int]) -> int:
+        """NIC DMA writes one line at each address, in order. Returns the
+        number of LLC hits (line updated in place, becomes MRU). Every miss
+        is a DDIO allocation into the set's DDIO ways, evicting the oldest
+        DDIO line once the set holds ``ddio_ways`` of them — or, with DDIO
+        disabled (``ddio_ways == 0``), a straight write to DRAM that
+        installs nothing."""
+        line_bytes = self.line_bytes
+        sets = self.sets
+        ways = self.ways
+        ddio_ways = self.ddio_ways
+        lines = self._lines
+        ddio = self._ddio
+        hits = fills = ddio_evictions = cpu_evictions = 0
+        for addr in addrs:
+            tag = addr // line_bytes
+            idx = tag % sets
+            lru = lines[idx]
+            if tag in lru:
+                lru[tag] = lru.pop(tag)
+                hits += 1
+                continue
+            fills += 1
+            if not ddio_ways:
+                continue
+            if ddio[idx] >= ddio_ways:
+                # Replace the set's oldest DDIO line; its count is unchanged.
+                for old, owner in lru.items():
+                    if owner == DDIO_OWNER:
+                        break
+                del lru[old]
+                ddio_evictions += 1
+            else:
+                if len(lru) >= ways:
+                    old = next(iter(lru))
+                    if lru.pop(old) == DDIO_OWNER:
+                        ddio_evictions += 1
+                        ddio[idx] -= 1
+                    else:
+                        cpu_evictions += 1
+                ddio[idx] += 1
+            lru[tag] = DDIO_OWNER
+        stats = self.stats
+        stats["dma_hits"] += hits
+        stats["dma_fills"] += fills
+        stats["ddio_evictions"] += ddio_evictions
+        stats["cpu_evictions"] += cpu_evictions
+        return hits
+
+    def cpu_read_lines(self, addrs: Iterable[int]) -> int:
+        """CPU reads one line at each address, in order. Returns the number
+        of LLC hits; every other line is a DRAM miss, installed as a CPU
+        line (evicting the set's LRU line) when ``cpu_fills_allocate``."""
+        line_bytes = self.line_bytes
+        sets = self.sets
+        ways = self.ways
+        allocate = self.cpu_fills_allocate
+        lines = self._lines
+        ddio = self._ddio
+        hits = misses = ddio_evictions = cpu_evictions = 0
+        for addr in addrs:
+            tag = addr // line_bytes
+            idx = tag % sets
+            lru = lines[idx]
+            if tag in lru:
+                lru[tag] = lru.pop(tag)
+                hits += 1
+                continue
+            misses += 1
+            if allocate:
+                if len(lru) >= ways:
+                    old = next(iter(lru))
+                    if lru.pop(old) == DDIO_OWNER:
+                        ddio_evictions += 1
+                        ddio[idx] -= 1
+                    else:
+                        cpu_evictions += 1
+                lru[tag] = CPU_OWNER
+        stats = self.stats
+        stats["cpu_hits"] += hits
+        stats["cpu_misses"] += misses
+        stats["ddio_evictions"] += ddio_evictions
+        stats["cpu_evictions"] += cpu_evictions
+        return hits
+
     def dma_write(self, addr: int) -> bool:
-        """NIC DMA writes one line. Returns True on LLC hit (line updated in
-        place), False when a DDIO allocation (possibly evicting) happened —
-        or when DDIO is disabled entirely (``ddio_ways == 0``), in which
-        case the write goes straight to DRAM and nothing is installed."""
-        lru, tag = self._locate(addr)
-        if tag in lru:
-            # Write-update: line stays with its current owner, becomes MRU.
-            lru.move_to_end(tag)
-            self.stats["dma_hits"] += 1
-            return True
-        self.stats["dma_fills"] += 1
-        if self.ddio_ways == 0:
-            return False
-        ddio_count = sum(1 for owner in lru.values() if owner == DDIO_OWNER)
-        if ddio_count >= self.ddio_ways:
-            self._evict_oldest(lru, DDIO_OWNER)
-        elif len(lru) >= self.ways:
-            self._evict_oldest(lru, None)
-        lru[tag] = DDIO_OWNER
-        return False
+        """NIC DMA writes one line; True on LLC hit (see :meth:`dma_write_lines`)."""
+        return self.dma_write_lines((addr,)) == 1
 
     def cpu_read(self, addr: int) -> bool:
         """CPU reads one line. Returns True on hit, False on DRAM miss."""
-        lru, tag = self._locate(addr)
-        if tag in lru:
-            lru.move_to_end(tag)
-            self.stats["cpu_hits"] += 1
-            return True
-        self.stats["cpu_misses"] += 1
-        if self.cpu_fills_allocate:
-            if len(lru) >= self.ways:
-                self._evict_oldest(lru, None)
-            lru[tag] = CPU_OWNER
-        return False
-
-    def _evict_oldest(self, lru: "OrderedDict[int, str]", owner_filter: "str | None") -> None:
-        for tag, owner in lru.items():
-            if owner_filter is None or owner == owner_filter:
-                del lru[tag]
-                key = "ddio_evictions" if owner == DDIO_OWNER else "cpu_evictions"
-                self.stats[key] += 1
-                return
-        # No line of the requested owner exists; fall back to global LRU.
-        tag = next(iter(lru))
-        owner = lru.pop(tag)
-        key = "ddio_evictions" if owner == DDIO_OWNER else "cpu_evictions"
-        self.stats[key] += 1
+        return self.cpu_read_lines((addr,)) == 1
 
     # --- reporting ------------------------------------------------------------
 

@@ -71,7 +71,7 @@ class DmaEngine:
         """
         self._check(region, nbytes, offset)
         done = Signal("dma_write")
-        lines = self._touch_lines(region, nbytes, offset, write=True)
+        lines = self._touch_lines(region, nbytes, offset)
         # tenant: attributed fair-queued link share when isolation is on.
         finish = self._serialize(nbytes, tenant) + self.costs.pcie_dma_latency_ns
         self.metrics.counter("writes").inc()
@@ -108,23 +108,19 @@ class DmaEngine:
                 f"DMA beyond region {region.name!r}: offset={offset} size={nbytes}"
             )
 
-    def _touch_lines(
-        self, region: PinnedRegion, nbytes: int, offset: int, write: bool
-    ) -> int:
-        """Drive the LLC model for the lines this transfer covers."""
+    def _touch_lines(self, region: PinnedRegion, nbytes: int, offset: int) -> int:
+        """Drive the LLC model for the lines this transfer writes; returns
+        how many lines it covers."""
         if self.llc is None:
             return 0
         line = self.llc.line_bytes
         start = region.base + offset
         first = start - (start % line)
-        count = 0
-        for addr in range(first, start + nbytes, line):
-            if write:
-                # tenant: cache side effect of a transfer whose bytes were
-                # already billed to the owning tenant in dma_read/dma_write.
-                self.llc.dma_write(addr)
-            count += 1
-        return count
+        addrs = range(first, start + nbytes, line)
+        # tenant: cache side effect of a transfer whose bytes were
+        # already billed to the owning tenant in dma_read/dma_write.
+        self.llc.dma_write_lines(addrs)
+        return len(addrs)
 
     def account_placement(self, layer: str, nbytes: int, ns: int, ops: int = 1) -> None:
         """Ledger-only entry for DMA movement modeled outside this engine

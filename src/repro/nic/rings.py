@@ -9,11 +9,12 @@ moves packets via DMA.
 from __future__ import annotations
 
 from collections import deque
-from typing import Any, Deque, Iterable, List, Optional
+from typing import Any, Deque, Iterable, List, Optional, Sequence
 
 from ..errors import RingEmpty, RingFull
 from ..host.memory import PinnedRegion
 from ..sim import MetricSet
+from ..units import CACHE_LINE
 
 
 class DescriptorRing:
@@ -35,6 +36,9 @@ class DescriptorRing:
         self.tail = 0  # consumer index (total consumed)
         self.metrics = MetricSet(name)
         self._cursor = 0  # round-robin cursor over the region's lines
+        self._first_line = region.base - region.base % CACHE_LINE
+        self.line_count = -(-(region.end - self._first_line) // CACHE_LINE)
+        """Cache lines the backing region spans (``len(region.line_addrs())``)."""
 
     @property
     def occupancy(self) -> int:
@@ -123,16 +127,21 @@ class DescriptorRing:
             self.metrics.counter("burst_consumes").inc()
         return out
 
-    def next_lines(self, count: int) -> "list[int]":
+    def next_lines(self, count: int) -> Sequence[int]:
         """The next ``count`` cache-line addresses a transfer will touch,
         advancing round-robin through the backing region (how a real ring
-        cycles through its buffers)."""
-        lines = self.region.line_addrs()
-        out = []
-        for _ in range(count):
-            out.append(lines[self._cursor % len(lines)])
-            self._cursor += 1
-        return out
+        cycles through its buffers). ``count`` is capped at one pass over
+        the region. The run is a ``range``, or a tuple when it wraps."""
+        n = self.line_count
+        count = min(count, n)
+        start = self._cursor % n
+        self._cursor += count
+        first = self._first_line
+        lo = first + start * CACHE_LINE
+        if start + count <= n:
+            return range(lo, lo + count * CACHE_LINE, CACHE_LINE)
+        return (*range(lo, first + n * CACHE_LINE, CACHE_LINE),
+                *range(first, first + (start + count - n) * CACHE_LINE, CACHE_LINE))
 
 
 class RingPair:

@@ -1,5 +1,7 @@
 """DDIO-partitioned LLC model: structural and analytic."""
 
+import gc
+
 import pytest
 
 from repro.config import DEFAULT_COSTS
@@ -91,6 +93,27 @@ class TestCpuPath:
         c.cpu_read(addr(0, 0))  # miss
         c.cpu_read(addr(0, 0))  # hit
         assert c.cpu_miss_rate() == 0.5
+
+
+class TestSpans:
+    def test_span_returns_hits_and_counts_every_line(self):
+        c = small_cache(ddio_ways=2)
+        span = range(0, 32 * LINE, LINE)  # two lines in each of 16 sets
+        assert c.dma_write_lines(span) == 0
+        assert c.dma_write_lines(span) == 32
+        assert c.cpu_read_lines(span) == 32
+        assert c.stats["dma_fills"] == 32
+        assert c.stats["dma_hits"] == 32
+        assert c.stats["cpu_hits"] == 32
+
+    def test_sets_stay_untracked_by_the_garbage_collector(self):
+        """Sets hold only int tags and the owner strings, so CPython never
+        tracks them: 49k LLC sets add nothing to a collection."""
+        c = small_cache(sets=8, ways=4, ddio_ways=2)
+        c.dma_write_lines(range(0, 40 * LINE, LINE))  # fills, evictions
+        c.cpu_read_lines(range(0, 40 * LINE, 3 * LINE))  # hits, misses
+        assert all(len(s) for s in c._lines)
+        assert not any(gc.is_tracked(s) for s in c._lines)
 
 
 class TestDdioThrashing:

@@ -1,10 +1,13 @@
 """Descriptor rings, notification queues, steering tables."""
 
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from repro import units
 from repro.errors import NicError, NicResourceExhausted, RingEmpty, RingFull
 from repro.host import MemorySystem
+from repro.host.memory import PinnedRegion
 from repro.net import FiveTuple, IPv4Address, PROTO_TCP
 from repro.nic import (
     DescriptorRing,
@@ -69,6 +72,26 @@ class TestDescriptorRing:
         again = r.next_lines(4)
         assert first == again  # wrapped around
         assert len(set(first)) == 4
+
+    @given(base=st.integers(0, 4_096), size=st.integers(1, 1_024),
+           counts=st.lists(st.integers(0, 40), max_size=30))
+    def test_next_lines_match_per_line_cursor(self, base, size, counts):
+        """The arithmetic run equals the per-line walk over
+        ``region.line_addrs()`` it replaces, wrapping included; a count
+        beyond the region is capped at one pass."""
+        r = DescriptorRing(4, PinnedRegion(base, size, "t", "r"), "r")
+        lines = r.region.line_addrs()
+        assert r.line_count == len(lines)
+        cursor = 0
+        for count in counts:
+            want = []
+            for _ in range(min(count, len(lines))):
+                want.append(lines[cursor % len(lines)])
+                cursor += 1
+            got = r.next_lines(count)
+            assert isinstance(got, (range, tuple))
+            assert list(got) == want
+            assert r._cursor == cursor
 
     def test_ring_pair_pinned_accounting(self):
         mem = MemorySystem(total_bytes=1 * units.MB)

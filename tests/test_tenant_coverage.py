@@ -33,7 +33,7 @@ SCOPE = (
 #: A billing call: SRAM bytes, DMA bytes, pipeline/DMA latency charges,
 #: DDIO line writes, or a conntrack entry update.
 CHARGING = re.compile(
-    r"sram\.alloc\(|\.dma_read\(|\.dma_write\(|"
+    r"sram\.alloc\(|\.dma_read\(|\.dma_write(?:_lines)?\(|"
     r"charge\(STAGE_NIC_PIPELINE|charge\(STAGE_DMA|conntrack\.observe\("
 )
 
