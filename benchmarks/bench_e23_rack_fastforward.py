@@ -1,5 +1,6 @@
 """E23 — rack-scale fast-forward bench: end-to-end fluid epochs across
-the switch hop must stay exact and beat demote-at-wire decisively.
+the switch hop must stay exact and beat the packet-exact engine
+decisively.
 
 Replays both legs of the rack fast-forward experiment and asserts the
 acceptance shape:
@@ -12,9 +13,8 @@ acceptance shape:
   names the key — per-host span conservation agrees between legs, and
   every connection actually bound end-to-end.
 * Crossover: at 10k+ cross-host connections the end-to-end fluid engine
-  runs >= 5x faster (packets per wall-second) than the previous best —
-  the demote-at-wire engine (per-host fast-forward with
-  ``ff_cross_machine`` off).
+  runs >= 5x faster (packets per wall-second) than the packet-exact
+  engine (``fast_forward`` off) probed at the same scale.
 
 Writes ``e23_rack_fastforward.json`` (including the cross-host micro-opt
 before/after note) and the consolidated ``BENCH_PR9.json``; the

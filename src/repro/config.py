@@ -154,8 +154,10 @@ class CostModel:
     packet-exact simulation at every fidelity boundary — policy commit,
     fastpath miss/invalidation/eviction, conntrack expiry, qdisc backlog
     threshold, DDIO/SRAM pressure crossing, packet-shape change (see
-    ``docs/hybrid_fidelity.md``). Requires :attr:`flow_fastpath`. Off (the
-    default) reproduces the seed byte-identically."""
+    ``docs/hybrid_fidelity.md``). On a rack it also binds steady flows
+    from host A through the L2 switch to host B into end-to-end epochs
+    (experiment E23). Requires :attr:`flow_fastpath`. Off (the default)
+    reproduces the seed byte-identically."""
 
     ff_promote_after: int = 8
     """Consecutive verdict-cache hits before a flow may go fluid."""
@@ -174,19 +176,6 @@ class CostModel:
     ff_tolerance: float = 0.02
     """Pinned relative tolerance for E21's fidelity contract: fast-forwarded
     latency/attribution totals must match packet-level runs within this."""
-
-    ff_cross_machine: bool = False
-    """Fast-forward across the switch hop (experiment E23): a steady flow
-    from host A through the L2 switch to host B is absorbed end-to-end in
-    one group-keyed fluid epoch — the sender's TX chain, the switch-hop
-    forward, and the receiver's RX chain — instead of demoting at the
-    wire. Promotion requires *both* stacks' verdict caches steady plus a
-    learned, rule-free switch path; either side's demotion boundary (and
-    any switch MAC-table change, flood, or rule install) demotes the whole
-    end-to-end flow before the boundary's effect is simulated (see
-    ``docs/hybrid_fidelity.md``). Requires :attr:`fast_forward`. Off (the
-    default) keeps cross-host flows demoting at the wire, byte-identical
-    to the per-host engine."""
 
     # --- cluster scale-out (rack + in-switch L4 balancer, experiment E18) ---
     cluster_lb: bool = False
@@ -345,11 +334,6 @@ class CostModel:
             raise ConfigError(
                 "fast_forward requires flow_fastpath: fluid epochs replay "
                 "cached verdicts, so there must be a verdict cache"
-            )
-        if self.ff_cross_machine and not self.fast_forward:
-            raise ConfigError(
-                "ff_cross_machine requires fast_forward: the end-to-end "
-                "epoch binds two per-machine controllers, so both must exist"
             )
         if self.flow_migration and not self.cluster_lb:
             raise ConfigError(

@@ -194,40 +194,39 @@ class NormanOS(Dataplane):
 
     # --- hybrid fidelity -----------------------------------------------------
 
-    def _ff_conn(self, flow):
-        """The live, NIC-resident connection a cached RX verdict delivers
-        to, or None if any part of the chain is not steady-state."""
+    def _ff_conn(self, chain, flow):
+        """The live, NIC-resident connection ``flow``'s cached verdict on
+        ``chain`` (RX or TX) delivers to, as ``(entry, conn)``, or
+        ``(None, None)`` if any part of the chain is not steady-state."""
         fp = self.machine.fastpath
         if fp is None:
             return None, None
-        from ..interpose.fastpath import CHAIN_KOPI_RX
-
-        entry = fp.peek(CHAIN_KOPI_RX, flow)
+        entry = fp.peek(chain, flow)
         if entry is None or entry.conn_id is None:
             return None, None
         from ..overlay.isa import VERDICT_DROP
 
         if entry.verdict == VERDICT_DROP:
             return None, None
+        if entry.qdisc_class is not None:
+            # Non-default scheduling class: fairness arbitration between
+            # classes is load-dependent, not a frozen per-packet shape.
+            # (Only TX entries carry a class.)
+            return None, None
         conn = self.nic.conn_resolver(entry.conn_id)
         if conn is None or conn.closed or conn.fallback:
             return None, None
         return entry, conn
 
-    def ff_eligible(self, flow) -> bool:
-        """Steady state on KOPI means: the composed RX verdict (steering +
-        overlay filter + conntrack attach) is live in the flow cache, it
-        delivers to a healthy NIC-resident connection, and nothing that
-        inspects or rewrites individual packets is attached — no capture
-        session (the sniffer must see real packets), no NAT (per-packet
-        rewrites), no structural LLC (per-line cache state would make the
-        frozen read cost wrong). Under tenant isolation, promotion also
-        consults quota headroom: a tenant at its flowtable quota or over
-        its SRAM cap is about to start evicting/falling back, which is
-        exactly the regime the exact path must keep simulating."""
-        entry, conn = self._ff_conn(flow)
-        if conn is None:
-            return False
+    def _ff_steady(self, conn) -> bool:
+        """The refusals both directions share: nothing that inspects or
+        rewrites individual packets is attached — no capture session (the
+        sniffer must see real packets), no NAT (per-packet rewrites), no
+        structural LLC (per-line cache state would make the frozen read
+        cost wrong). Under tenant isolation, promotion also consults quota
+        headroom: a tenant at its flowtable quota or over its SRAM cap is
+        about to start evicting/falling back, which is exactly the regime
+        the exact path must keep simulating."""
         if self.sniffer.active_sessions:
             return False
         if self.nic.nat is not None:
@@ -243,6 +242,16 @@ class NormanOS(Dataplane):
             if not self.nic.sram.tenant_headroom(tenant):
                 return False
         return True
+
+    def ff_eligible(self, flow) -> bool:
+        """Steady state on KOPI means: the composed RX verdict (steering +
+        overlay filter + conntrack attach) is live in the flow cache, it
+        delivers to a healthy NIC-resident connection, and
+        :meth:`_ff_steady` holds."""
+        from ..interpose.fastpath import CHAIN_KOPI_RX
+
+        _entry, conn = self._ff_conn(CHAIN_KOPI_RX, flow)
+        return conn is not None and self._ff_steady(conn)
 
     def ff_profile(self, flow, pkt):
         """Freeze the steady-state per-packet shape: the fixed NIC pipeline
@@ -262,7 +271,7 @@ class NormanOS(Dataplane):
             STAGE_RING,
         )
 
-        entry, conn = self._ff_conn(flow)
+        entry, conn = self._ff_conn(CHAIN_KOPI_RX, flow)
         if conn is None:
             return None
         machine = self.machine
@@ -341,53 +350,26 @@ class KopiTxFastForward:
         self._os = os
         self.machine = os.machine
 
-    def _ff_conn(self, flow):
-        """The live, NIC-resident connection whose cached TX verdict covers
-        ``flow``, or None if any part of the chain is not steady-state."""
-        machine = self._os.machine
-        fp = machine.fastpath
-        if fp is None:
-            return None, None
-        from ..interpose.fastpath import CHAIN_KOPI_TX
-
-        entry = fp.peek(CHAIN_KOPI_TX, flow)
-        if entry is None or entry.conn_id is None:
-            return None, None
-        from ..overlay.isa import VERDICT_DROP
-
-        if entry.verdict == VERDICT_DROP:
-            return None, None
-        if entry.qdisc_class is not None:
-            # Non-default scheduling class: fairness arbitration between
-            # classes is load-dependent, not a frozen per-packet shape.
-            return None, None
-        conn = self._os.nic.conn_resolver(entry.conn_id)
-        if conn is None or conn.closed or conn.fallback:
-            return None, None
-        return entry, conn
-
     def ff_eligible(self, flow) -> bool:
         """Steady state on the KOPI TX path: the cached verdict delivers a
-        healthy NIC-resident connection to the default class, nothing
-        per-packet-interesting is attached (capture, NAT, policer token
-        bucket, congestion pacing, structural LLC), the TX ring is empty
-        (isolated single sends — the app-timer shape) and the egress qdisc
-        carries no backlog (zero queue residency is part of the frozen
-        profile)."""
+        healthy NIC-resident connection to the default class,
+        :meth:`NormanOS._ff_steady` holds, no policer token bucket or
+        congestion pacing is attached, the TX ring is empty (isolated
+        single sends — the app-timer shape) and the egress qdisc carries no
+        backlog (zero queue residency is part of the frozen profile). The
+        zero-backlog check also makes the per-tenant DRR work-conserving
+        FIFO for the frozen shape."""
+        from ..interpose.fastpath import CHAIN_KOPI_TX
         from .nic_dataplane import SLOT_POLICER
 
-        entry, conn = self._ff_conn(flow)
-        if conn is None:
-            return False
         os_ = self._os
-        nic = os_.nic
-        if os_.sniffer.active_sessions:
+        _entry, conn = os_._ff_conn(CHAIN_KOPI_TX, flow)
+        if conn is None or not os_._ff_steady(conn):
             return False
-        if nic.nat is not None or nic.congestion is not None:
+        nic = os_.nic
+        if nic.congestion is not None:
             return False
         if nic.fpga.machine(SLOT_POLICER) is not None:
-            return False
-        if os_.machine.llc is not None:
             return False
         if conn.rate_bps is not None:
             return False
@@ -399,21 +381,9 @@ class KopiTxFastForward:
             # The wire is a fidelity boundary: with nothing on the far end
             # able to absorb a fluid epoch (no single-host peer hook, no
             # rack coordinator), an absorbed send would vanish at the link.
-            # On the multihost testbed this is literally demote-at-wire —
-            # cross-host TX stays exact unless ff_cross_machine wired the
+            # A multihost testbed built with fast_forward wires every
             # uplink into the switch's fluid path.
             return False
-        tenants = os_.machine.tenants
-        if tenants.isolation:
-            # Quota headroom gates promotion (same rationale as the RX
-            # side); the zero-backlog check above already guarantees the
-            # per-tenant DRR is work-conserving FIFO for the frozen shape.
-            tenant = tenants.resolve(conn.proc)
-            fp = os_.machine.fastpath
-            if fp is not None and fp.at_quota(tenant):
-                return False
-            if not nic.sram.tenant_headroom(tenant):
-                return False
         return True
 
     def ff_profile(self, flow, pkt):
@@ -437,7 +407,7 @@ class KopiTxFastForward:
             STAGE_WIRE,
         )
 
-        entry, conn = self._ff_conn(flow)
+        entry, conn = self._os._ff_conn(CHAIN_KOPI_TX, flow)
         if conn is None:
             return None
         os_ = self._os

@@ -12,6 +12,11 @@ entire story of §2's pathologies:
   ``recv`` spins, burning the application's core (E6);
 * each application speaks its own ARP and the kernel ARP cache stays empty
   (the E4 debugging scenario).
+
+The hypervisor plane (:mod:`repro.dataplanes.hypervisor`) is this plane
+plus a vswitch stage on the NIC; the class attributes of
+:class:`BypassDataplane` and its :meth:`~BypassDataplane._egress` hook are
+where the two differ.
 """
 
 from __future__ import annotations
@@ -23,6 +28,7 @@ from ..errors import EndpointClosed, UnsupportedOperation
 from ..host.copies import LAYER_DMA_DIRECT
 from ..host.machine import Machine
 from ..interpose import InterpositionPoint
+from ..interpose.fastpath import CHAIN_STEER
 from ..kernel.kernel import Kernel
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.link import Link
@@ -189,6 +195,15 @@ class BypassDataplane(Dataplane):
 
     name = "bypass"
     supports_blocking_io = False
+    #: The application's handle onto its queue pair.
+    endpoint_cls = BypassEndpoint
+    #: Copy-ledger layer and trace label of the NIC's TX descriptor fetch.
+    tx_fetch_layer = LAYER_DMA_DIRECT
+    tx_fetch_label = "desc_fetch"
+    #: Prefix of the descriptor rings' (and their metric sets') names.
+    ring_prefix = ""
+    #: The verdict-cache chain whose live entry makes an RX flow steady.
+    ff_chain = CHAIN_STEER
 
     def __init__(
         self,
@@ -236,9 +251,10 @@ class BypassDataplane(Dataplane):
         def _fetch() -> None:
             pkts = rings.tx.consume_burst(count)
             if pkts:
-                # Hardware fetch straight from app-owned rings: no CPU copy.
-                self.machine.dma.account_placement(
-                    LAYER_DMA_DIRECT,
+                # Hardware fetch from the app-owned rings, charged to the
+                # one copy ledger the DMA engine also writes.
+                self.machine.copies.charge(
+                    self.tx_fetch_layer,
                     sum(p.wire_len for p in pkts),
                     fetch_ns,
                     ops=len(pkts),
@@ -250,10 +266,15 @@ class BypassDataplane(Dataplane):
                     # (descriptor fetch, burst siblings) as DMA wait.
                     charge(STAGE_NIC_PIPELINE, self.costs.nic_pipeline_ns,
                            pkt.meta.trace, cpu=False, label="tx_pipeline")
-                    pkt.meta.trace.fill_gap(STAGE_DMA, now, label="desc_fetch")
-                self.nic.tx(pkt)
+                    pkt.meta.trace.fill_gap(STAGE_DMA, now,
+                                            label=self.tx_fetch_label)
+                self._egress(pkt)
 
         self.machine.sim.after(delay, _fetch)
+
+    def _egress(self, pkt: Packet) -> None:
+        """Hand one fetched packet to the wire: nothing stands between."""
+        self.nic.tx(pkt)
 
     # --- application surface ------------------------------------------------------
 
@@ -264,20 +285,21 @@ class BypassDataplane(Dataplane):
         if port is None:
             port = 50_000 + self._next_conn
         conn_id = self._allocate_queue()
+        rx, tx = (f"{self.ring_prefix}{d}{conn_id}" for d in ("rx", "tx"))
         region_rx = self.machine.memory.alloc_pinned(
-            self.ring_entries * 64, owner=f"pid{proc.pid}", name=f"rx{conn_id}"
+            self.ring_entries * 64, owner=f"pid{proc.pid}", name=rx
         )
         region_tx = self.machine.memory.alloc_pinned(
-            self.ring_entries * 64, owner=f"pid{proc.pid}", name=f"tx{conn_id}"
+            self.ring_entries * 64, owner=f"pid{proc.pid}", name=tx
         )
         rings = RingPair(
             conn_id,
-            rx=DescriptorRing(self.ring_entries, region_rx, f"rx{conn_id}"),
-            tx=DescriptorRing(self.ring_entries, region_tx, f"tx{conn_id}"),
+            rx=DescriptorRing(self.ring_entries, region_rx, rx),
+            tx=DescriptorRing(self.ring_entries, region_tx, tx),
         )
         self.nic.queues[conn_id % len(self.nic.queues)].ring = rings.rx
         self.nic.steering.install_dport(proto, port, conn_id)
-        ep = BypassEndpoint(self, proc, proto, port, rings)
+        ep = self.endpoint_cls(self, proc, proto, port, rings)
         self._endpoints.append(ep)
         return ep
 
@@ -317,16 +339,15 @@ class BypassDataplane(Dataplane):
     # controller API (the fidelity tests), not the RX hot path.
 
     def _ff_target(self, flow):
-        """Steady state on bypass: the NIC steering verdict is cached live
-        and an open endpoint owns the destination port. (There is no
-        capture point on this plane to conflict with, by construction.)"""
-        from ..interpose.fastpath import CHAIN_STEER
-
+        """Steady state: the ``ff_chain`` verdict (NIC steering here) is
+        cached live and not a drop, and an open endpoint owns the
+        destination port. Steering entries carry no verdict, so the drop
+        refusal only ever bites on the hypervisor's vswitch chain."""
         fp = self.machine.fastpath
         if fp is None:
             return None
-        entry = fp.peek(CHAIN_STEER, flow)
-        if entry is None:
+        entry = fp.peek(self.ff_chain, flow)
+        if entry is None or entry.verdict == "drop":
             return None
         for ep in self._endpoints:
             if not ep.closed and ep.proto == flow.proto and ep.port == flow.dport:

@@ -102,7 +102,7 @@ class HostStack:
             self.machine, ip, mac, self.uplink, **plane_kwargs
         )
         self.downlink.attach(self.dataplane.wire_rx)  # type: ignore[attr-defined]
-        if costs.fast_forward and costs.ff_cross_machine:
+        if costs.fast_forward:
             # The rack-scale fluid path: the uplink forwards epochs through
             # the switch's learned-port fast path, and the downlink lands
             # them in this host's promoted RX flows. A plane without a
@@ -174,7 +174,7 @@ class Rack:
         # controllers binds steady host→switch→host flows into end-to-end
         # epochs.
         self.rack: Optional[RackFastForward] = None
-        if costs.fast_forward and costs.ff_cross_machine:
+        if costs.fast_forward:
             self.rack = RackFastForward(self.switch)
             for host in self.hosts:
                 self.rack.add_host(

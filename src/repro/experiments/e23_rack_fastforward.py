@@ -1,13 +1,14 @@
 """E23 — rack-scale fast-forward: end-to-end fluid epochs across the
 switch hop.
 
-Per-host fast-forward alone demotes a cross-host flow between two rack
-hosts to packet-exact the moment it touches the wire: host B's RX side can
-go fluid, but every send still runs host A's full TX chain, the uplink,
-the switch, and the downlink as discrete events. With
-``CostModel.ff_cross_machine`` a :class:`~repro.sim.fastforward.RackFastForward`
-coordinator composes the sender's TX profile with the switch-hop wire
-span at promotion and binds it to the receiver's RX profile as one
+Per-host fast-forward alone would demote a cross-host flow between two
+rack hosts to packet-exact the moment it touches the wire: every send
+would still run host A's full TX chain, the uplink, the switch, and the
+downlink as discrete events. A :class:`~repro.dataplanes.multihost.Rack`
+built with ``CostModel.fast_forward`` therefore always has a
+:class:`~repro.sim.fastforward.RackFastForward` coordinator, which
+composes the sender's TX profile with the switch-hop wire span at
+promotion and binds it to the receiver's RX profile as one
 end-to-end :class:`~repro.sim.fastforward.CrossMachineFlow`: promotion
 waits until *both* stacks' verdict caches are steady and the switch path
 is frozen (learned port, no match-action rules), and either side's demotion
@@ -27,10 +28,10 @@ boundary's effect is simulated. Two legs defend it:
   context — a pre-existing exact-mode property that fluid replay
   reproduces by carrying the downlink span in the extended profile).
 * **(b) wall-clock crossover** — 10k+ cross-host connections. The
-  baseline is this repo's previous best: ``fast_forward`` on but
-  ``ff_cross_machine`` off, i.e. *demote-at-wire* (B's RX absorbs
-  arrivals, A still simulates every send packet-exact through the switch).
-  The hybrid leg warms every flow to its end-to-end binding, then absorbs
+  baseline is the packet-exact engine (``fast_forward`` off) at the same
+  scale and capacity, probed on a sample of connections: every send runs
+  A's TX chain, both links, the switch and B's RX chain as discrete
+  events. The hybrid leg warms every flow to its end-to-end binding, then absorbs
   the schedule in bulk and flushes through the fluid switch path. The
   headline is the packets-per-wall-second ratio, required >= 5x.
 """
@@ -72,18 +73,19 @@ A_PORT_BASE = 22_000
 #: links stay empty: the steady state the end-to-end profile captures.
 SEND_GAP_NS = 2_000
 
-def _hybrid_costs(costs: CostModel, n_conns: int, cross: bool) -> CostModel:
+def _hybrid_costs(costs: CostModel, n_conns: int,
+                  fast_forward: bool) -> CostModel:
     """Capacity sized for the population on *both* machines, with the
-    fidelity knobs for one leg: ``cross=False`` is the demote-at-wire
-    engine (per-host fast-forward only), ``cross=True`` adds the rack
-    coordinator."""
+    fidelity knob for one leg: ``fast_forward=False`` is the packet-exact
+    engine, ``fast_forward=True`` adds the per-host controllers and the
+    rack coordinator."""
     return costs.replace(
         flow_fastpath=True,
         flow_fastpath_entries=max(costs.flow_fastpath_entries, 4 * n_conns),
         smartnic_sram_bytes=max(
             costs.smartnic_sram_bytes, 2 * n_conns * costs.conn_state_bytes),
         rx_ring_entries=2_048, tx_ring_entries=2_048,
-        fast_forward=True, ff_cross_machine=cross,
+        fast_forward=fast_forward,
     )
 
 
@@ -168,9 +170,7 @@ def run_leg(n_conns: int, rounds: int, costs: CostModel,
         # sender's first gate attempt is vetoed (the receiver's promotion
         # races one wire latency behind), and the rebuilt streak binds the
         # flow end-to-end on send 5 — leaving most of the schedule fluid.
-        leg_costs = leg_costs.replace(
-            fast_forward=True, ff_cross_machine=True,
-            ff_promote_after=2)
+        leg_costs = leg_costs.replace(fast_forward=True, ff_promote_after=2)
     tb, a_eps, b_eps = _rack_testbed(n_conns, leg_costs)
     delivered = 0
     t0 = time.perf_counter()
@@ -242,11 +242,12 @@ def run_crossover(
     probe_conns: int = PROBE_CONNS,
     costs: CostModel = DEFAULT_COSTS,
 ) -> Row:
-    """Leg (b): end-to-end fluid at full scale vs the demote-at-wire
-    engine probed at the same scale; speedup is the cross-host
+    """Leg (b): end-to-end fluid at full scale vs the packet-exact engine
+    probed at the same scale; speedup is the cross-host
     packets-per-wall-second ratio."""
     # Hybrid leg: warm to binding, then absorb + flush through the switch.
-    hy = _hybrid_costs(costs, n_conns, cross=True).replace(ff_promote_after=1)
+    hy = _hybrid_costs(costs, n_conns, fast_forward=True).replace(
+        ff_promote_after=1)
     # Receiver promotes after miss + streak; the gated TX side needs one
     # more round to see a promoted receiver.
     warmup = 3 + hy.ff_promote_after
@@ -272,12 +273,10 @@ def run_crossover(
     hybrid_pkts = warmup * n_conns + absorbed
     hybrid_events = tb.sim.events_fired
 
-    # Baseline: the demote-at-wire engine (per-host fast-forward, no rack)
-    # at the same scale and capacity, probed on a sample — every A→B send
-    # runs the full TX chain, both links, and the switch packet-exact;
-    # only B's RX side absorbs.
-    base_costs = _hybrid_costs(costs, n_conns, cross=False).replace(
-        ff_promote_after=1)
+    # Baseline: the packet-exact engine at the same scale and capacity,
+    # probed on a sample — every A→B send runs the full TX chain, both
+    # links, the switch and B's RX chain as discrete events.
+    base_costs = _hybrid_costs(costs, n_conns, fast_forward=False)
     ex, ex_a_eps, ex_b_eps = _rack_testbed(n_conns, base_costs)
     subset = range(0, min(probe_conns, n_conns))
     t0 = time.perf_counter()
@@ -298,9 +297,9 @@ def run_crossover(
         "hybrid_pkts": hybrid_pkts,
         "hybrid_wall_s": hybrid_wall,
         "hybrid_events": hybrid_events,
-        "wire_probe_pkts": probe_pkts,
-        "wire_probe_wall_s": exact_wall,
-        "wire_ns_per_pkt": 1e9 / max(exact_rate, 1e-9),
+        "exact_probe_pkts": probe_pkts,
+        "exact_probe_wall_s": exact_wall,
+        "exact_ns_per_pkt": 1e9 / max(exact_rate, 1e-9),
         "hybrid_ns_per_pkt": 1e9 / max(hybrid_rate, 1e-9),
         "speedup": hybrid_rate / max(exact_rate, 1e-9),
     }
@@ -330,14 +329,14 @@ def main() -> str:
         "A -> switch -> B)",
         parity_report(parity),
         "",
-        "rack crossover (end-to-end fluid vs demote-at-wire engine)",
+        "rack crossover (end-to-end fluid vs packet-exact engine)",
         fmt_table([speedup]),
         "",
         f"headline: cross-machine fluid epochs are invisible in the rack "
         f"snapshot (max relative error {h['max_rel_err']:.4%} against a "
         f"{h['tolerance']:.0%} tolerance, {h['fluid_fraction']:.0%} of "
         f"packet-legs fluid) and {h['speedup']:.1f}x faster than "
-        f"demote-at-wire at {h['connections']:,} cross-host connections "
+        f"packet-exact at {h['connections']:,} cross-host connections "
         f"({h['bound']:,} bound end-to-end)",
     ])
 

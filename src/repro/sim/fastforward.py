@@ -42,7 +42,8 @@ effect is simulated. Boundaries, and who wires them (see
   before its state is replayed on another backend
   (:class:`~repro.cluster.MigrationCoordinator`)
 
-With ``CostModel.ff_cross_machine`` a :class:`RackFastForward` coordinator
+On a :class:`~repro.dataplanes.multihost.Rack` with
+``CostModel.fast_forward`` a :class:`RackFastForward` coordinator
 composes a sender's TX profile with the switch hop at promotion time and
 binds it to the receiver's RX profile as one end-to-end
 :class:`CrossMachineFlow`: absorbed sends flow through
@@ -594,7 +595,7 @@ class CrossMachineFlow:
 
 
 class RackFastForward:
-    """End-to-end fluid epochs across the switch hop (``ff_cross_machine``).
+    """End-to-end fluid epochs across the switch hop (every fast-forward rack).
 
     The coordinator sits above the per-machine controllers and never charges
     costs itself. It drives three hooks:

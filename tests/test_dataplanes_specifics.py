@@ -124,6 +124,82 @@ class TestBypassSpecifics:
         assert tb.dataplane.total_polls() > 100
 
 
+#: Where the hypervisor plane (bypass plus its vswitch stage) must still
+#: differ from bypass: the TX-fetch ledger layer and trace label, the
+#: ring-name prefix, and the reverse steering entries a connect installs.
+BYPASS_VS_HYPERVISOR = [
+    pytest.param(BypassDataplane, dict(layer="dma_direct", label="desc_fetch",
+                                       prefix="", reverse=1), id="bypass"),
+    pytest.param(HypervisorDataplane, dict(layer="hv_vring", label="vring_fetch",
+                                           prefix="hv.", reverse=0),
+                 id="hypervisor"),
+]
+
+
+@pytest.mark.parametrize("plane,want", BYPASS_VS_HYPERVISOR)
+class TestBypassVsHypervisor:
+    @staticmethod
+    def _sent(plane, trace=False, n=3):
+        tb = Testbed(plane, costs=DEFAULT_COSTS.replace(trace=trace))
+        ep = tb.dataplane.open_endpoint(tb.spawn("app", "bob", core_id=1),
+                                        PROTO_UDP, 6000)
+        for _ in range(n):
+            ep.send(100, dst=(PEER_IP, 9000))
+        tb.run_all()
+        assert len(tb.peer.received) == n
+        return tb, ep
+
+    def test_tx_fetch_ledger_layer(self, plane, want):
+        tb, _ep = self._sent(plane)
+        ledger = tb.machine.copies.snapshot()
+        wire = sum(p.wire_len for p in tb.peer.received)
+        assert ledger[f"{want['layer']}.bytes_copied"] == wire
+        assert ledger[f"{want['layer']}.copies"] == 3
+        other = ({"dma_direct", "hv_vring"} - {want["layer"]}).pop()
+        assert ledger.get(f"{other}.bytes_copied", 0) == 0
+
+    def test_tx_fetch_trace_label(self, plane, want):
+        tb, _ep = self._sent(plane, trace=True)
+        labels = [{s.label for s in c.spans} for c in tb.machine.tracer.contexts]
+        other = ({"desc_fetch", "vring_fetch"} - {want["label"]}).pop()
+        assert len(labels) == 3
+        assert all(want["label"] in ls and other not in ls for ls in labels)
+
+    def test_ring_metric_names(self, plane, want):
+        _tb, ep = self._sent(plane)
+        assert ep.rings.rx.metrics.prefix == f"{want['prefix']}rx0"
+        assert ep.rings.tx.metrics.prefix == f"{want['prefix']}tx0"
+        assert ep.rings.tx.metrics.counter("posted").value == 3
+
+    def test_connect_reverse_steering(self, plane, want):
+        tb = Testbed(plane)
+        ep = tb.dataplane.open_endpoint(tb.spawn("app", "bob", core_id=1),
+                                        PROTO_UDP, 6000)
+        steering = tb.dataplane.nic.steering
+        before = steering.entries
+        ep.connect(PEER_IP, 9000)
+        tb.run_all()
+        assert steering.entries - before == want["reverse"]
+
+
+class TestHypervisorVswitchTx:
+    def test_vswitch_tx_drop_is_not_sent_and_closes_its_trace(self):
+        tb = Testbed(HypervisorDataplane,
+                     costs=DEFAULT_COSTS.replace(trace=True))
+        ep = tb.dataplane.open_endpoint(tb.spawn("app", "bob", core_id=1),
+                                        PROTO_UDP, 6000)
+        tb.dataplane.install_filter_rule(
+            NetfilterRule(verdict=DROP, chain=CHAIN_OUTPUT, dport=9000))
+        ep.send(10, dst=(PEER_IP, 9000))
+        tb.run_all()
+        assert tb.peer.received == []
+        assert tb.dataplane.nic.metrics.counter("tx_pkts").value == 0
+        assert tb.dataplane.metrics.counter("dropped").value == 1
+        (ctx,) = tb.machine.tracer.contexts
+        assert ctx.closed
+        assert ctx.span_sum() == ctx.latency_ns()
+
+
 class TestOverloadFailureInjection:
     def test_ingress_link_drops_under_flood_without_deadlock(self):
         """Oversubscribing the wire loses packets at drop-tail queues;

@@ -7,11 +7,10 @@ and at every switch-state change, with the pending bulk flushed through
 the still-promoted chain before the boundary's effect is simulated. Each
 boundary gets its own test against two real Norman stacks; a hypothesis
 property pins cross-machine group charging to the exact run's whole rack
-snapshot; and a seed-identity guard proves the knob is inert
-until both enabled and exercised.
+snapshot; and a seed-identity guard proves fast-forward on a rack is
+inert until exercised.
 """
 
-import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -38,8 +37,7 @@ B_IP, B_MAC = rack_ip(1), rack_mac(1)
 
 def _costs(**over):
     base = dict(
-        flow_fastpath=True, fast_forward=True,
-        ff_cross_machine=True, ff_promote_after=1,
+        flow_fastpath=True, fast_forward=True, ff_promote_after=1,
     )
     base.update(over)
     return DEFAULT_COSTS.replace(**base)
@@ -287,8 +285,8 @@ class TestChargingEquivalence:
 
 class TestSeedIdentity:
     """The knob must be inert: default costs build no rack coordinator,
-    and with the knob on but no flow ever promoted the multihost event
-    trace is identical to the knob-off tree."""
+    and with ``fast_forward`` on but no flow ever promoted the multihost
+    event trace is identical to the packet-exact engine's."""
 
     def test_default_costs_build_no_rack(self):
         tb = _pair()
@@ -316,16 +314,10 @@ class TestSeedIdentity:
 
     def test_knob_on_without_promotion_is_trace_identical(self):
         # promote_after above the traffic volume: fast-forward machinery
-        # live on both trees, but nothing ever promotes — the rack hooks,
-        # switch hooks, and fluid link attachments must all be free.
-        off = self._fingerprint(_costs(ff_cross_machine=False,
-                                       ff_promote_after=50))
+        # live, but nothing ever promotes — the controllers, the rack
+        # coordinator, the switch hooks and the fluid link attachments must
+        # all be free against the packet-exact engine.
+        off = self._fingerprint(_costs(fast_forward=False))
         on = self._fingerprint(_costs(ff_promote_after=50))
         assert on == off
         assert on["delivered"] == 4
-
-    def test_knob_requires_fast_forward(self):
-        from repro.errors import ConfigError
-
-        with pytest.raises(ConfigError):
-            DEFAULT_COSTS.replace(flow_fastpath=True, ff_cross_machine=True)

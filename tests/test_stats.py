@@ -81,8 +81,7 @@ class TestSnapshotCompleteness:
 
     def test_every_metric_set_of_a_rack(self):
         before = _metric_sets()
-        costs = COSTS.replace(fast_forward=True, ff_cross_machine=True,
-                              ff_promote_after=1)
+        costs = COSTS.replace(fast_forward=True, ff_promote_after=1)
         rack = Rack([HostSpec.indexed(0, "hostA", NormanOS),
                      HostSpec.indexed(1, "hostB", NormanOS)], costs=costs)
         a, b = rack.hosts
