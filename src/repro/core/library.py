@@ -14,7 +14,7 @@ from typing import List, Optional, Sequence, Tuple
 from ..errors import EndpointClosed, UnsupportedOperation, WouldBlock
 from ..net.addresses import IPv4Address
 from ..net.headers import PROTO_TCP
-from ..net.packet import Packet, make_tcp, make_udp
+from ..net.packet import Packet, UdpHeaderMemo, make_tcp, make_udp
 from ..sim import Signal
 from ..trace import STAGE_COHERENCE, STAGE_DMA, STAGE_RING, charge
 from ..dataplanes.base import Endpoint, _as_bool, _as_first
@@ -30,6 +30,7 @@ class NormanEndpoint(Endpoint):
         super().__init__(norman, conn.proc, conn.proto, conn.port)
         self._os = norman
         self.conn = conn
+        self._udp_headers: UdpHeaderMemo = {}
 
     @property
     def _core(self):
@@ -133,12 +134,13 @@ class NormanEndpoint(Endpoint):
         return result
 
     def _build(self, dst_ip: IPv4Address, dport: int, payload_len: int) -> Packet:
-        dst_mac = self._os.kernel.mac_for(dst_ip)
-        maker = make_tcp if self.proto == PROTO_TCP else make_udp
-        return maker(
-            self._os.kernel.host_mac, dst_mac, self._os.kernel.host_ip, dst_ip,
-            self.port, dport, payload_len,
-        )
+        kernel = self._os.kernel
+        dst_mac = kernel.mac_for(dst_ip)
+        if self.proto == PROTO_TCP:
+            return make_tcp(kernel.host_mac, dst_mac, kernel.host_ip, dst_ip,
+                            self.port, dport, payload_len)
+        return make_udp(kernel.host_mac, dst_mac, kernel.host_ip, dst_ip,
+                        self.port, dport, payload_len, self._udp_headers)
 
     # --- RX -----------------------------------------------------------------------
 

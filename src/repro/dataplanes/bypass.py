@@ -32,7 +32,7 @@ from ..interpose.fastpath import CHAIN_STEER
 from ..kernel.kernel import Kernel
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.link import Link
-from ..net.packet import Packet, make_udp, make_tcp
+from ..net.packet import Packet, UdpHeaderMemo, make_tcp, make_udp
 from ..net.headers import PROTO_TCP
 from ..nic.base import BasicNic
 from ..nic.rings import DescriptorRing, RingPair
@@ -219,6 +219,7 @@ class BypassDataplane(Dataplane):
         self.host_ip = host_ip
         self.host_mac = host_mac
         self.ring_entries = ring_entries
+        self._udp_headers: UdpHeaderMemo = {}
         machine.tracer.plane = self.name
         self.nic = BasicNic(
             machine.sim, machine.costs, machine.dma, egress, n_queues=n_queues,
@@ -318,8 +319,11 @@ class BypassDataplane(Dataplane):
         self, ep: BypassEndpoint, dst_ip: IPv4Address, dport: int, payload_len: int
     ) -> Packet:
         dst_mac = MacAddress.from_index(dst_ip.value & 0xFF_FFFF)
-        maker = make_tcp if ep.proto == PROTO_TCP else make_udp
-        return maker(self.host_mac, dst_mac, self.host_ip, dst_ip, ep.port, dport, payload_len)
+        if ep.proto == PROTO_TCP:
+            return make_tcp(self.host_mac, dst_mac, self.host_ip, dst_ip, ep.port, dport,
+                            payload_len)
+        return make_udp(self.host_mac, dst_mac, self.host_ip, dst_ip, ep.port, dport,
+                        payload_len, self._udp_headers)
 
     def flow_for(self, ep: BypassEndpoint, dst_ip: IPv4Address, dport: int):
         from ..net.flow import FiveTuple

@@ -26,7 +26,7 @@ from ..kernel.qdisc_runner import PacedQdiscRunner
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.headers import PROTO_TCP
 from ..net.link import Link
-from ..net.packet import Packet, make_tcp, make_udp
+from ..net.packet import Packet, UdpHeaderMemo, make_tcp, make_udp
 from ..nic.base import BasicNic
 from ..sim import Signal
 from ..trace import (
@@ -159,6 +159,7 @@ class SidecarDataplane(Dataplane):
         self.costs: CostModel = machine.costs
         self.host_ip = host_ip
         self.host_mac = host_mac
+        self._udp_headers: UdpHeaderMemo = {}
         self.sidecar_core_id = (
             sidecar_core if sidecar_core is not None else len(machine.cpus) - 1
         )
@@ -222,8 +223,11 @@ class SidecarDataplane(Dataplane):
 
     def build_packet(self, ep, dst_ip: IPv4Address, dport: int, payload_len: int) -> Packet:
         dst_mac = MacAddress.from_index(dst_ip.value & 0xFF_FFFF)
-        maker = make_tcp if ep.proto == PROTO_TCP else make_udp
-        return maker(self.host_mac, dst_mac, self.host_ip, dst_ip, ep.port, dport, payload_len)
+        if ep.proto == PROTO_TCP:
+            return make_tcp(self.host_mac, dst_mac, self.host_ip, dst_ip, ep.port, dport,
+                            payload_len)
+        return make_udp(self.host_mac, dst_mac, self.host_ip, dst_ip, ep.port, dport,
+                        payload_len, self._udp_headers)
 
     # --- TX: app core -> coherence -> sidecar core -> qdisc -> NIC ----------------
 

@@ -15,7 +15,7 @@ from ..host.machine import Machine
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.headers import PROTO_TCP
 from ..net.link import Link
-from ..net.packet import Packet, make_tcp, make_udp
+from ..net.packet import Packet, UdpHeaderMemo, make_tcp, make_udp
 from ..sim import MetricSet, Simulator
 from .base import Dataplane
 
@@ -34,6 +34,7 @@ class TrafficPeer:
         self.mac = mac
         self.uplink = uplink  # peer -> host
         self.received: List[Packet] = []
+        self._udp_headers: UdpHeaderMemo = {}
         self.metrics = MetricSet("peer")
         self._echo: Optional[Callable[[Packet], Optional[int]]] = None
 
@@ -100,7 +101,8 @@ class TrafficPeer:
         src_ip: Optional[IPv4Address] = None,
     ) -> bool:
         return self.send(
-            make_udp(self.mac, dst_mac, src_ip or self.ip, dst_ip, sport, dport, payload_len)
+            make_udp(self.mac, dst_mac, src_ip or self.ip, dst_ip, sport, dport, payload_len,
+                     self._udp_headers)
         )
 
     def send_tcp(

@@ -15,7 +15,7 @@ from ..config import CostModel
 from ..errors import ConnectionRefused, KernelError, WouldBlock
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.headers import PROTO_TCP, PROTO_UDP
-from ..net.packet import Packet, make_tcp, make_udp
+from ..net.packet import Packet, UdpHeaderMemo, make_tcp, make_udp
 from ..sim import MetricSet, Signal, Simulator
 from ..trace import (
     STAGE_FASTPATH,
@@ -82,6 +82,7 @@ class KernelNetStack:
         self.filters = filters
         self.host_ip = host_ip
         self.host_mac = host_mac
+        self._udp_headers: UdpHeaderMemo = {}
         #: Virtual IPs this host answers for (DSR-style cluster service
         #: addresses). Demux is by (proto, dport) and is unaffected; the set
         #: exists so introspection tools and experiments can ask which hosts
@@ -345,7 +346,8 @@ class KernelNetStack:
         dst_mac = self.mac_for(dst_ip)
         if sock.proto == PROTO_UDP:
             return make_udp(
-                self.host_mac, dst_mac, self.host_ip, dst_ip, sock.port, dport, payload_len
+                self.host_mac, dst_mac, self.host_ip, dst_ip, sock.port, dport, payload_len,
+                self._udp_headers,
             )
         if sock.proto == PROTO_TCP:
             return make_tcp(

@@ -17,7 +17,12 @@ class FiveTuple:
     generated dataclass hash would produce — is computed once at
     construction instead of per lookup, and equality compares raw
     address words instead of dispatching through ``IPv4Address``.
+    Slotted: a five-tuple is shared by every packet of a flow built from
+    a header memo (:func:`repro.net.packet.make_udp`) and keys long-lived
+    tables, so it carries no per-instance dict.
     """
+
+    __slots__ = ("proto", "src_ip", "sport", "dst_ip", "dport", "_hash")
 
     proto: int
     src_ip: IPv4Address

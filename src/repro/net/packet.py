@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Optional, Union
+from typing import Dict, Optional, Tuple, Union
 
 from ..errors import PacketError
 from .addresses import BROADCAST_MAC, IPv4Address, MacAddress
@@ -13,6 +13,7 @@ from .headers import (
     ETHERTYPE_IPV4,
     PROTO_TCP,
     PROTO_UDP,
+    UDP_HEADER_LEN,
     ArpHeader,
     EthernetHeader,
     Ipv4Header,
@@ -33,11 +34,13 @@ class Packet:
 
     Packets are the hottest allocation in the simulator, so the class is
     slotted and ``wire_len`` is computed once at construction (headers are
-    frozen, so it can never change).
+    frozen, so it can never change). Frozen headers may be shared by many
+    packets of one flow (see :func:`make_udp`'s ``headers`` memo), and so
+    may the flow's :class:`FiveTuple` when one is given at construction.
     """
 
     __slots__ = ("packet_id", "eth", "ipv4", "l4", "arp", "payload_len",
-                 "meta", "wire_len")
+                 "meta", "wire_len", "_five_tuple")
 
     _ids = 0
 
@@ -48,6 +51,7 @@ class Packet:
         l4: Optional[L4Header] = None,
         arp: Optional[ArpHeader] = None,
         payload_len: int = 0,
+        five_tuple: Optional[FiveTuple] = None,
     ):
         if payload_len < 0:
             raise PacketError(f"negative payload: {payload_len}")
@@ -64,6 +68,7 @@ class Packet:
         self.l4 = l4
         self.arp = arp
         self.payload_len = payload_len
+        self._five_tuple = five_tuple
         self.meta = PacketMeta()
         total = eth.wire_len
         if arp is not None:
@@ -91,6 +96,13 @@ class Packet:
 
     @property
     def five_tuple(self) -> Optional[FiveTuple]:
+        """The flow's five-tuple: the shared one given at construction, or
+        else a fresh one per access. A packet never caches a private copy:
+        captures keep packets alive, and a cached tuple each would cost
+        more memory than rebuilding the few that are asked for."""
+        ft = self._five_tuple
+        if ft is not None:
+            return ft
         if self.ipv4 is None or self.l4 is None:
             return None
         return FiveTuple(
@@ -133,6 +145,15 @@ class Packet:
         return f"<Packet #{self.packet_id} {self.summary()}>"
 
 
+#: A sender's UDP header memo: one ``(eth, ipv4, udp, five_tuple)`` set
+#: per flow, keyed by the address words and ports
+#: ``(dst_mac, src_ip, dst_ip, sport, dport)``.
+UdpHeaderMemo = Dict[
+    Tuple[int, int, int, int, int],
+    Tuple[EthernetHeader, Ipv4Header, UdpHeader, FiveTuple],
+]
+
+
 def make_udp(
     src_mac: MacAddress,
     dst_mac: MacAddress,
@@ -141,17 +162,37 @@ def make_udp(
     sport: int,
     dport: int,
     payload_len: int = 0,
+    headers: Optional[UdpHeaderMemo] = None,
 ) -> Packet:
-    """Convenience UDP datagram builder."""
-    return Packet(
-        eth=EthernetHeader(dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4),
-        ipv4=Ipv4Header(
-            src=src_ip, dst=dst_ip, proto=PROTO_UDP,
-            payload_len=payload_len + UdpHeader(sport, dport).wire_len,
-        ),
-        l4=UdpHeader(sport=sport, dport=dport, payload_len=payload_len),
-        payload_len=payload_len,
-    )
+    """Convenience UDP datagram constructor.
+
+    ``headers`` is the sender's memo (an empty dict to start; without
+    one, the packet gets a throwaway memo of its own). Through it, the packets of one flow share frozen headers and one five-tuple for
+    as long as the payload size stays the same; a size change replaces the
+    flow's set, rebuilding only its IPv4 and UDP headers (the Ethernet
+    header and five-tuple do not depend on the size). A memo belongs to
+    one sender (one source MAC) and lives as long as that sender; there is
+    no module-level cache, which would keep every flow's headers alive
+    across simulations.
+    """
+    if headers is None:
+        headers = {}
+    key = (dst_mac._value, src_ip._value, dst_ip._value, sport, dport)
+    hs = headers.get(key)
+    if hs is None or hs[2].payload_len != payload_len:
+        if hs is None:
+            eth = EthernetHeader(dst=dst_mac, src=src_mac, ethertype=ETHERTYPE_IPV4)
+            ft = FiveTuple(PROTO_UDP, src_ip, sport, dst_ip, dport)
+        else:  # a size change keeps the flow's Ethernet header and five-tuple
+            eth, ft = hs[0], hs[3]
+        hs = headers[key] = (
+            eth,
+            Ipv4Header(src=src_ip, dst=dst_ip, proto=PROTO_UDP,
+                       payload_len=payload_len + UDP_HEADER_LEN),
+            UdpHeader(sport=sport, dport=dport, payload_len=payload_len),
+            ft,
+        )
+    return Packet(hs[0], hs[1], hs[2], None, payload_len, hs[3])
 
 
 def make_tcp(

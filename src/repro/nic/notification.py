@@ -14,7 +14,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Callable, Deque, List, Optional
+from typing import Callable, Deque, List, Optional, Tuple
 
 from ..errors import NicError
 from ..sim import MetricSet
@@ -52,7 +52,11 @@ class NotificationQueue:
         self.owner_pid = owner_pid
         self.capacity = capacity
         self.name = name or f"notifq.pid{owner_pid}"
-        self._entries: Deque[Notification] = deque()
+        # Stored as plain ``(conn_id, kind, time_ns, count)`` tuples, which
+        # the garbage collector untracks: a queue nothing polls can hold
+        # thousands of entries, and Notification objects would be rescanned
+        # by every full collection.
+        self._entries: Deque[Tuple[int, str, int, int]] = deque()
         self._subscribers: List[Callable[[Notification], None]] = []
         #: Immutable snapshot iterated by :meth:`post` — rebuilt on
         #: (un)subscribe so the hot path never copies the list.
@@ -71,7 +75,8 @@ class NotificationQueue:
         """
         stored = len(self._entries) < self.capacity
         if stored:
-            self._entries.append(notif)
+            self._entries.append(
+                (notif.conn_id, notif.kind, notif.time_ns, notif.count))
             self.metrics.counter("posted").inc()
         else:
             self.metrics.counter("overflows").inc()
@@ -96,11 +101,11 @@ class NotificationQueue:
         if not self._entries:
             return None
         self.metrics.counter("polled").inc()
-        return self._entries.popleft()
+        return Notification(*self._entries.popleft())
 
     def drain(self) -> List[Notification]:
         """Consume everything pending."""
-        out = list(self._entries)
+        out = [Notification(*entry) for entry in self._entries]
         self._entries.clear()
         self.metrics.counter("polled").inc(len(out))
         return out

@@ -33,50 +33,46 @@ N_BUCKETS = 2048
 WINDOW_NS = N_BUCKETS << BUCKET_SHIFT
 
 
-class EventHandle:
-    """Handle to a scheduled callback; allows cancellation.
+class EventHandle(list):
+    """A scheduled callback, which is also its own queue entry:
+    ``[time, seq, fn, args]``.
 
-    Cancellation is lazy: the queue entry stays in place and is skipped
-    when it surfaces, which keeps scheduling O(1). The owning simulator
-    tracks how many cancelled entries its queue carries and compacts when
-    they dominate (see :meth:`Simulator._compact`).
+    One heap object per pending event: the list orders by ``(time, seq)``
+    in the calendar's heaps (``seq`` is unique, so ``fn`` is never
+    compared) and carries the callback. Cancellation is lazy: the entry
+    stays in place with its callback swapped for :func:`_cancelled_fn`
+    and is skipped when it surfaces, which keeps scheduling O(1). The
+    owning simulator tracks how many cancelled entries its queue carries
+    and compacts when they dominate (see :meth:`Simulator._compact`).
+    ``_sim`` is cleared when the event fires or is cancelled, so a later
+    :meth:`cancel` is a no-op.
     """
 
-    __slots__ = ("time", "_fn", "_args", "_cancelled", "_sim")
+    __slots__ = ("_sim",)
 
-    def __init__(
-        self,
-        time: int,
-        fn: Callable[..., Any],
-        args: Tuple[Any, ...],
-        sim: "Optional[Simulator]" = None,
-    ):
-        self.time = time
-        self._fn = fn
-        self._args = args
-        self._cancelled = False
-        self._sim = sim
+    @property
+    def time(self) -> int:
+        return self[0]
 
     def cancel(self) -> None:
-        """Prevent the callback from running. Safe to call more than once."""
-        if self._cancelled:
+        """Prevent the callback from running. Safe to call more than once,
+        and a no-op once the event has fired."""
+        sim = self._sim
+        if sim is None:
             return
-        self._cancelled = True
-        self._fn = _cancelled_fn
-        self._args = ()
-        if self._sim is not None:
-            self._sim._note_cancelled()
+        self._sim = None
+        self[2] = _cancelled_fn
+        self[3] = ()
+        sim._note_cancelled()
 
     @property
     def cancelled(self) -> bool:
-        return self._cancelled
-
-    def _fire(self) -> None:
-        self._fn(*self._args)
+        return self[2] is _cancelled_fn
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "cancelled" if self._cancelled else "pending"
-        return f"<EventHandle t={self.time} {state}>"
+        state = ("cancelled" if self.cancelled
+                 else "pending" if self._sim is not None else "fired")
+        return f"<EventHandle t={self[0]} {state}>"
 
 
 def _cancelled_fn() -> None:
@@ -101,18 +97,18 @@ class Simulator:
         self._events_fired = 0
         self._cancelled_pending = 0
         self._compactions = 0
-        # Calendar: near-window buckets (each a (time, seq, handle) heap),
+        # Calendar: near-window buckets (each a heap of EventHandles),
         # an occupancy bitmap over them, and an overflow heap for events
         # past the window. ``_base`` is bucket 0's start time; ``_cur`` is
         # a scan hint — no occupied bucket lies below it.
         self._base = 0
         self._cur = 0
-        self._buckets: List[List[Tuple[int, int, EventHandle]]] = [
+        self._buckets: List[List[EventHandle]] = [
             [] for _ in range(N_BUCKETS)
         ]
         self._occupied = 0
         self._near_count = 0
-        self._far: List[Tuple[int, int, EventHandle]] = []
+        self._far: List[EventHandle] = []
         self._rebases = 0
 
     @property
@@ -153,7 +149,7 @@ class Simulator:
 
     # --- calendar internals -------------------------------------------------
 
-    def _push(self, entry: Tuple[int, int, EventHandle]) -> None:
+    def _push(self, entry: EventHandle) -> None:
         idx = (entry[0] - self._base) >> BUCKET_SHIFT
         if idx >= N_BUCKETS:
             heappush(self._far, entry)
@@ -174,7 +170,7 @@ class Simulator:
         overflow entry now inside it into buckets. Only called with all
         buckets empty, so each overflow entry migrates at most once."""
         far = self._far
-        while far and far[0][2].cancelled:
+        while far and far[0][2] is _cancelled_fn:
             heappop(far)
             self._cancelled_pending -= 1
         if not far:
@@ -192,7 +188,7 @@ class Simulator:
             self._near_count += 1
         self._rebases += 1
 
-    def _min_bucket(self) -> Optional[List[Tuple[int, int, EventHandle]]]:
+    def _min_bucket(self) -> Optional[List[EventHandle]]:
         """The bucket holding the earliest live event, with cancelled heads
         drained, or None when the queue holds no live events. Leaves
         ``_cur`` at that bucket's index (so callers can clear its
@@ -207,7 +203,7 @@ class Simulator:
                 idx = self._cur + ((m & -m).bit_length() - 1)
                 self._cur = idx
                 bucket = self._buckets[idx]
-                while bucket and bucket[0][2].cancelled:
+                while bucket and bucket[0][2] is _cancelled_fn:
                     heappop(bucket)
                     self._near_count -= 1
                     self._cancelled_pending -= 1
@@ -219,9 +215,11 @@ class Simulator:
                 return None
             self._rebase()
 
-    def _pop_from(self, bucket: List[Tuple[int, int, EventHandle]]):
-        """Pop the head of a bucket returned by :meth:`_min_bucket`."""
+    def _pop_from(self, bucket: List[EventHandle]) -> EventHandle:
+        """Pop the head of a bucket returned by :meth:`_min_bucket` and
+        mark it fired (a later ``cancel()`` is then a no-op)."""
         entry = heappop(bucket)
+        entry._sim = None
         self._near_count -= 1
         if not bucket:
             self._occupied &= ~(1 << self._cur)
@@ -243,8 +241,8 @@ class Simulator:
         # totally ordered, and every live entry's time is >= ``now`` (the
         # clock only advances to fired-event times or idle ``until``
         # marks), so re-basing the window at ``now`` strands nothing.
-        live = [e for b in self._buckets for e in b if not e[2].cancelled]
-        live.extend(e for e in self._far if not e[2].cancelled)
+        live = [e for b in self._buckets for e in b if e[2] is not _cancelled_fn]
+        live.extend(e for e in self._far if e[2] is not _cancelled_fn)
         self._base = self._now
         self._cur = 0
         self._occupied = 0
@@ -265,9 +263,10 @@ class Simulator:
             raise SimulationError(
                 f"cannot schedule at t={time_ns} ns; now is {self._now} ns"
             )
-        handle = EventHandle(time_ns, fn, args, self)
         self._seq += 1
-        self._push((time_ns, self._seq, handle))
+        handle = EventHandle((time_ns, self._seq, fn, args))
+        handle._sim = self
+        self._push(handle)
         return handle
 
     def after(self, delay_ns: int, fn: Callable[..., Any], *args: Any) -> EventHandle:
@@ -312,10 +311,10 @@ class Simulator:
         bucket = self._min_bucket()
         if bucket is None:
             return False
-        time_ns, _, handle = self._pop_from(bucket)
+        time_ns, _, fn, args = self._pop_from(bucket)
         self._now = time_ns
         self._events_fired += 1
-        handle._fire()
+        fn(*args)
         return True
 
     def run(self, until: Optional[int] = None, max_events: Optional[int] = None) -> int:
@@ -342,10 +341,10 @@ class Simulator:
             if until is not None and nxt > until:
                 self._now = until
                 return self._now
-            time_ns, _, handle = self._pop_from(bucket)
+            time_ns, _, fn, args = self._pop_from(bucket)
             self._now = time_ns
             self._events_fired += 1
-            handle._fire()
+            fn(*args)
             fired += 1
 
     def run_until_idle(self, max_events: int = 10_000_000) -> int:

@@ -254,9 +254,10 @@ class MetricSet:
         return f"{self.prefix}.{name}" if self.prefix else name
 
     def counter(self, name: str) -> Counter:
-        if name not in self._counters:
-            self._counters[name] = Counter(self._qualify(name))
-        return self._counters[name]
+        counter = self._counters.get(name)
+        if counter is None:
+            counter = self._counters[name] = Counter(self._qualify(name))
+        return counter
 
     def histogram(self, name: str, max_samples: Optional[int] = None) -> Histogram:
         """Get-or-create a histogram. ``max_samples`` (reservoir bound) only

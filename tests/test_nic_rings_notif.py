@@ -144,6 +144,25 @@ class TestNotificationQueue:
         assert [n.conn_id for n in q.drain()] == [0, 1, 2]
         assert q.depth == 0
 
+    def test_poll_and_drain_return_what_was_posted_in_order(self):
+        q = NotificationQueue(owner_pid=5, capacity=3)
+        posted = [Notification(1, KIND_RX_READY, 10, count=4),
+                  Notification(2, KIND_TX_DRAINED, 11),
+                  Notification(1, KIND_RX_READY, 12, count=2),
+                  Notification(3, KIND_RX_READY, 13)]
+        seen = []
+        q.subscribe(seen.append)
+        assert [q.post(n) for n in posted] == [True, True, True, False]
+        # Subscribers receive the posted objects themselves.
+        assert all(a is b for a, b in zip(seen, posted))
+        assert q.metrics.counter("posted").value == 3
+        assert q.metrics.counter("overflows").value == 1
+        first = q.poll()
+        assert isinstance(first, Notification) and first == posted[0]
+        assert q.drain() == posted[1:3]
+        assert q.metrics.counter("polled").value == 3
+        assert q.poll() is None and q.depth == 0
+
     def test_interrupt_toggle(self):
         q = NotificationQueue(owner_pid=5)
         assert not q.interrupts_enabled

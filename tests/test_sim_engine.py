@@ -262,3 +262,38 @@ class TestCalendarQueue:
         sim.run()
         assert fired == ["live"]
         assert sim.pending == 0
+
+
+class TestCancelAfterFire:
+    def test_cancel_after_fire_is_a_noop(self):
+        sim = Simulator()
+        handles = [sim.after(i, lambda: None) for i in range(100)]
+        sim.run()
+        for h in handles:
+            h.cancel()
+            assert not h.cancelled
+            assert 0 <= sim.cancelled_pending <= sim.pending
+        assert sim.pending == 0 and sim.cancelled_pending == 0
+        # Later cancels of live events count exactly once each and trigger
+        # no compaction below the queue-size floor.
+        live = [sim.after(10, lambda: None) for _ in range(3)]
+        live[0].cancel()
+        live[0].cancel()
+        assert sim.cancelled_pending == 1 and sim.pending == 3
+        assert sim.heap_compactions == 0
+
+    def test_cancel_from_inside_own_callback(self):
+        sim = Simulator()
+        box = []
+        box.append(sim.after(5, lambda: box[0].cancel()))
+        sim.run()
+        assert not box[0].cancelled
+        assert sim.cancelled_pending == 0 and sim.events_fired == 1
+
+    def test_handle_is_its_own_queue_entry(self):
+        sim = Simulator()
+        h = sim.after(7, print, "x")
+        assert h.time == 7 and not h.cancelled
+        h.cancel()
+        assert h.cancelled and h.time == 7
+        assert sim.peek() is None
