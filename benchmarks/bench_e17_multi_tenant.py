@@ -35,9 +35,7 @@ from repro.experiments.e17_multi_tenant import (
     run_e17,
     tenant_pressure_rows,
 )
-from repro.experiments.e21_fidelity_crossover import (
-    run_parity as run_e21_parity,
-)
+from repro.experiments.fidelity import E21, run_parity as run_fidelity_parity
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e17_multi_tenant.json"
 CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR8.json"
@@ -101,7 +99,7 @@ def test_bench_pr8_consolidated(once, metered):
     entries["e8"] = {"events": ev, "seconds": s}
     _, ev, s = metered(run_e15_planes, count=192)
     entries["e15"] = {"events": ev, "seconds": s}
-    _, ev, s = metered(run_e21_parity)
+    _, ev, s = metered(run_fidelity_parity, E21)
     entries["e21"] = {"events": ev, "seconds": s}
     result, ev, s = metered(once, _e17)
     h = result["headline"]

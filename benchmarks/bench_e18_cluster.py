@@ -31,9 +31,7 @@ from repro.experiments.e18_cluster import (
     run_parity,
     run_rebalance_pair,
 )
-from repro.experiments.e23_rack_fastforward import (
-    run_parity as run_e23_parity,
-)
+from repro.experiments.fidelity import E23, run_parity as run_fidelity_parity
 from repro.experiments.common import fmt_table
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e18_cluster.json"
@@ -114,7 +112,7 @@ def test_bench_pr10_consolidated(once, metered):
     _, ev, s = metered(e8.run_e8, sweep=(256, 1_024),
                         packets_per_point=4_096, repeats=5)
     entries["e8"] = {"events": ev, "seconds": s}
-    e23_parity, ev, s = metered(run_e23_parity)
+    e23_parity, ev, s = metered(run_fidelity_parity, E23)
     entries["e23"] = {"events": ev, "seconds": s,
                       "parity_ok": bool(e23_parity["ok"])}
     (parity, rebalance), ev, s = metered(once, _e18)

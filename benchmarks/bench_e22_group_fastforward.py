@@ -1,15 +1,16 @@
 """E22 — group fast-forward bench: one epoch per group must stay exact
 and cost O(groups) epoch events, not O(flows).
 
-Replays both legs of the group fast-forward experiment and asserts the
-acceptance shape:
+Replays both legs of the ``E22`` spec of :mod:`repro.experiments.fidelity`
+and asserts every bar the spec names (``fidelity.bars``):
 
 * Parity: exact and hybrid runs of the *identical* RX+TX schedule agree
   on every key of the whole-simulation stats snapshot (as in E21; the TX
   side adds NIC tx_pkts, the peer's counters, the egress link, the qdisc,
   doorbell MMIO writes and the TX DMA ledger), conservation holds on
-  both legs, and grouping actually engaged (>= 2 groups, >= 1 group
-  epoch).
+  both legs, grouping actually engaged (>= 2 groups, >= 1 group
+  epoch), the fluid fraction exceeds 0.25, and both legs reproduce the
+  snapshot digests pinned in ``golden.json``.
 * Scale: at 100k+ connections every connection promotes, every epoch is
   a group epoch (no per-flow residue), and each group epoch stands for
   more than ``MIN_FLOW_ROUNDS_PER_EPOCH`` flow-rounds — a deterministic
@@ -30,13 +31,13 @@ from pathlib import Path
 from repro.experiments import e8_connection_scaling as e8
 from repro.experiments.common import fmt_table, parity_report
 from repro.experiments.e15_flow_fastpath import run_e15_planes
-from repro.experiments.e21_fidelity_crossover import (
-    run_parity as run_e21_parity,
-)
-from repro.experiments.e22_group_fastforward import (
+from repro.experiments.fidelity import (
+    E21,
+    E22,
+    bars,
     headline,
-    run_group_scale,
     run_parity,
+    run_scale,
 )
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e22_group_fastforward.json"
@@ -47,46 +48,31 @@ MAX_E8_REGRESSION = 0.10
 
 
 def _e22():
-    parity = run_parity()
-    scale = run_group_scale()
-    return parity, scale
+    return run_parity(E22), run_scale(E22)
 
 
-def test_e22_group_fastforward(once):
+def test_e22_group_fastforward(once, fidelity_golden):
     parity, scale = once(_e22)
-    h = headline(parity, scale)
+    held = bars(E22, parity, scale)
 
     print("\n" + parity_report(parity))
     print("\n" + fmt_table([scale]))
-    print(f"\nheadline: parity_ok={h['parity_ok']} "
-          f"max_rel_err={h['max_rel_err']:.4%} "
-          f"fluid={h['fluid_fraction']:.0%} grouped={h['grouped']} "
-          f"{h['group_epochs']:,} group epochs for {h['flow_rounds']:,} "
-          f"flow-rounds @ {h['connections']:,} conns")
+    print(f"\nbars: {held}\nheadline: {headline(E22, parity, scale)}")
 
     # Acceptance: grouping and TX fast-forward are invisible in the whole
     # snapshot, and epoch events scale with groups, not flows.
-    assert parity["ok"], parity["failed"]
+    assert all(held.values()), held
     for row in parity["rows"]:
         assert row["ok"], row
-    assert parity["grouped"], parity["ff"]
-    assert parity["fluid_fraction"] > 0.25
-    assert scale["ok"], scale
-
-    # The E21 parity leg (RX-only, through the same group-charging
-    # engine) must still report zero error.
-    e21_parity = run_e21_parity()
-    assert e21_parity["ok"], e21_parity["failed"]
-    e21_max_err = e21_parity["max_rel_err"]
-    print(f"e21 parity still exact: max_rel_err={e21_max_err:.4%}")
-    assert e21_max_err == 0.0
+    golden = fidelity_golden(E22, parity)
+    assert not golden, golden
 
     ARTIFACT.parent.mkdir(parents=True, exist_ok=True)
     ARTIFACT.write_text(
         json.dumps(
-            {"headline": h, "parity": parity["rows"],
-             "exempt": parity["exempt"], "scale": scale,
-             "ff": parity["ff"], "e21_max_rel_err": e21_max_err},
+            {"headline": headline(E22, parity, scale), "bars": held,
+             "parity": parity["rows"], "exempt": parity["exempt"],
+             "scale": scale, "ff": parity["ff"]},
             indent=2,
         )
         + "\n"
@@ -103,7 +89,7 @@ def test_bench_pr7_consolidated(once, metered):
     entries["e8"] = {"events": ev, "seconds": s}
     _, ev, s = metered(run_e15_planes, count=192)
     entries["e15"] = {"events": ev, "seconds": s}
-    _, ev, s = metered(run_e21_parity)
+    _, ev, s = metered(run_parity, E21)
     entries["e21"] = {"events": ev, "seconds": s}
     (parity, scale), ev, s = metered(once, _e22)
     entries["e22"] = {

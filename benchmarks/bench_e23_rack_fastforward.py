@@ -2,18 +2,20 @@
 the switch hop must stay exact and beat the packet-exact engine
 decisively.
 
-Replays both legs of the rack fast-forward experiment and asserts the
-acceptance shape:
+Replays both legs of the ``E23`` spec of :mod:`repro.experiments.fidelity`
+and asserts every bar the spec names (``fidelity.bars``):
 
 * Parity: exact and cross-machine-fluid runs of the *identical*
   A→switch→B schedule agree on every key of the rack's stats snapshot
   (both hosts, the switch, every link) — counters exactly, modeled CPU
   time and every per-host trace stage within the pinned
   ``ff_tolerance``, differences only where ``repro.sim.stats.EXEMPT``
-  names the key — per-host span conservation agrees between legs, and
-  every connection actually bound end-to-end.
-* Crossover: at 10k+ cross-host connections the end-to-end fluid engine
-  runs >= 5x faster (packets per wall-second) than the packet-exact
+  names the key — per-host span conservation agrees between legs, every
+  connection actually bound end-to-end, the fluid fraction of packet-legs
+  exceeds 0.5, and both legs reproduce the snapshot digests pinned in
+  ``golden.json``.
+* Crossover: at 10k+ cross-host connections every flow binds end to end
+  and the end-to-end fluid engine runs >= 5x faster (packets per wall-second) than the packet-exact
   engine (``fast_forward`` off) probed at the same scale.
 
 Writes ``e23_rack_fastforward.json`` (including the cross-host micro-opt
@@ -30,20 +32,19 @@ from pathlib import Path
 from repro.experiments import e8_connection_scaling as e8
 from repro.experiments.common import fmt_table, parity_report
 from repro.experiments.e15_flow_fastpath import run_e15_planes
-from repro.experiments.e21_fidelity_crossover import (
-    run_parity as run_e21_parity,
-)
-from repro.experiments.e23_rack_fastforward import (
+from repro.experiments.fidelity import (
+    E21,
+    E23,
+    bars,
     headline,
-    run_crossover,
     run_parity,
+    run_scale,
 )
 
 ARTIFACT = Path(__file__).parent / "artifacts" / "e23_rack_fastforward.json"
 CONSOLIDATED = Path(__file__).parent / "artifacts" / "BENCH_PR9.json"
 PR8_BASELINE = Path(__file__).parent / "artifacts" / "BENCH_PR8.json"
 
-MIN_RACK_SPEEDUP = 5.0
 MAX_E8_REGRESSION = 0.10
 
 #: Satellite 1 (micro-opt) before/after, measured on an isolated
@@ -63,50 +64,32 @@ MICRO_OPT_NOTE = {
 
 
 def _e23():
-    parity = run_parity()
-    speedup = run_crossover()
-    return parity, speedup
+    return run_parity(E23), run_scale(E23)
 
 
-def test_e23_rack_fastforward(once):
+def test_e23_rack_fastforward(once, fidelity_golden):
     parity, speedup = once(_e23)
-    h = headline(parity, speedup)
+    held = bars(E23, parity, speedup)
 
     print("\n" + parity_report(parity))
     print("\n" + fmt_table([speedup]))
-    print(f"\nheadline: parity_ok={h['parity_ok']} "
-          f"max_rel_err={h['max_rel_err']:.4%} "
-          f"fluid={h['fluid_fraction']:.0%} "
-          f"rack speedup={h['speedup']:.1f}x @ {h['connections']:,} conns "
-          f"({h['bound']:,} bound)")
+    print(f"\nbars: {held}\nheadline: {headline(E23, parity, speedup)}")
 
     # Acceptance: the cross-machine epoch is invisible in the snapshot of
-    # both machines and the switch between them...
-    assert parity["ok"], parity["failed"]
+    # both machines and the switch between them, and absorbing the switch
+    # hop actually pays at rack scale.
+    assert all(held.values()), held
     for row in parity["rows"]:
         assert row["ok"], row
-    assert parity["conserved_ok"]
-    assert parity["bound_ok"], parity["rack"]
-    assert parity["fluid_fraction"] > 0.5
-    assert h["max_rel_err"] == 0.0 or h["max_rel_err"] <= parity["tolerance"]
-    # ...and absorbing the switch hop actually pays at rack scale.
-    assert speedup["bound"] == speedup["connections"], speedup
-    assert speedup["speedup"] >= MIN_RACK_SPEEDUP, speedup
-
-    # The single-host parity leg (E21, same engine underneath) must still
-    # report zero error.
-    e21_parity = run_e21_parity()
-    assert e21_parity["ok"], e21_parity["failed"]
-    e21_max_err = e21_parity["max_rel_err"]
-    print(f"e21 parity still exact: max_rel_err={e21_max_err:.4%}")
-    assert e21_max_err == 0.0
+    golden = fidelity_golden(E23, parity)
+    assert not golden, golden
 
     ARTIFACT.parent.mkdir(parents=True, exist_ok=True)
     ARTIFACT.write_text(
         json.dumps(
-            {"headline": h, "parity": parity["rows"],
-             "exempt": parity["exempt"], "speedup": speedup,
-             "rack": parity["rack"], "e21_max_rel_err": e21_max_err,
+            {"headline": headline(E23, parity, speedup), "bars": held,
+             "parity": parity["rows"], "exempt": parity["exempt"],
+             "speedup": speedup, "rack": parity["ff"],
              "micro_opt": MICRO_OPT_NOTE},
             indent=2,
         )
@@ -124,7 +107,7 @@ def test_bench_pr9_consolidated(once, metered):
     entries["e8"] = {"events": ev, "seconds": s}
     _, ev, s = metered(run_e15_planes, count=192)
     entries["e15"] = {"events": ev, "seconds": s}
-    _, ev, s = metered(run_e21_parity)
+    _, ev, s = metered(run_parity, E21)
     entries["e21"] = {"events": ev, "seconds": s}
     (parity, speedup), ev, s = metered(once, _e23)
     entries["e23"] = {
@@ -132,7 +115,7 @@ def test_bench_pr9_consolidated(once, metered):
         "parity_ok": bool(parity["ok"]),
         "fluid_fraction": parity["fluid_fraction"],
         "rack_speedup": speedup["speedup"],
-        "bound": speedup["bound"],
+        "bound": speedup["promoted"],
     }
 
     CONSOLIDATED.parent.mkdir(parents=True, exist_ok=True)

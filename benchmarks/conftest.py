@@ -8,11 +8,16 @@ figure/claim in the paper predicts. Run with::
 """
 
 import gc
+import json
 import time
+from pathlib import Path
 
 import pytest
 
+from repro.experiments.fidelity import pinned
 from repro.sim import Simulator
+
+GOLDEN = Path(__file__).resolve().parent / "golden.json"
 
 
 @pytest.fixture
@@ -62,3 +67,20 @@ def _metered(fn, *args, repeats=1, **kwargs):
 def metered():
     """The shared bench metering helper (see :func:`_metered`)."""
     return _metered
+
+
+@pytest.fixture
+def fidelity_golden():
+    """Check a fidelity spec's default-size parity legs against the
+    snapshot digests, event counts and ``app/*`` counts pinned in
+    ``golden.json``; returns the mismatches by leg (empty when exact)."""
+
+    def _check(spec, parity):
+        want = json.loads(GOLDEN.read_text())["snapshots"]["fidelity"]
+        want = want[spec.name]["default"]
+        assert (spec.conns, spec.rounds) == (want["conns"], want["rounds"])
+        got = {leg: pinned(parity[leg]) for leg in ("exact", "hybrid")}
+        return {leg: {"got": got[leg], "golden": want[leg]}
+                for leg in got if got[leg] != want[leg]}
+
+    return _check

@@ -18,6 +18,8 @@ from .config import DEFAULT_COSTS
 
 
 def _experiment_mains():
+    from functools import partial
+
     from .experiments import (
         e1_dataplane_overhead,
         e2_interposition_placement,
@@ -37,10 +39,8 @@ def _experiment_mains():
         e16_latency_anatomy,
         e17_multi_tenant,
         e18_cluster,
-        e21_fidelity_crossover,
-        e22_group_fastforward,
-        e23_rack_fastforward,
         f1_architecture,
+        fidelity,
         s1_tail_latency,
     )
 
@@ -63,9 +63,9 @@ def _experiment_mains():
         "e16": e16_latency_anatomy.main,
         "e17": e17_multi_tenant.main,
         "e18": e18_cluster.main,
-        "e21": e21_fidelity_crossover.main,
-        "e22": e22_group_fastforward.main,
-        "e23": e23_rack_fastforward.main,
+        "e21": partial(fidelity.main, fidelity.E21),
+        "e22": partial(fidelity.main, fidelity.E22),
+        "e23": partial(fidelity.main, fidelity.E23),
         "f1": f1_architecture.main,
         "s1": s1_tail_latency.main,
     }

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Type
+import hashlib
+import json
+from typing import Callable, Dict, List, Optional, Sequence, Type
 
 from .. import units
 from ..config import DEFAULT_COSTS, CostModel
@@ -64,6 +66,54 @@ def parity_report(result: Dict[str, object]) -> str:
     shown = [r for r in result["rows"]  # type: ignore[attr-defined]
              if not r["ok"] or is_modelled_time(r["key"])]
     return coverage(result) + "\n" + fmt_table(shown)
+
+
+def ff_stats(stats: Dict[str, float],
+             prefix: str = "machine/ff/") -> Dict[str, float]:
+    """The counters under ``prefix`` in a snapshot (by default one
+    machine's fast-forward controller), keyed by their own names."""
+    return {k[len(prefix):]: v for k, v in stats.items()
+            if k.startswith(prefix)}
+
+
+def snapshot_digest(stats: Dict[str, float]) -> str:
+    """A short stable hash of a stats snapshot: sha256 of its sorted JSON,
+    without the ``app/*`` counts a driver adds. Two runs that compute the
+    same thing give the same digest; ``benchmarks/golden.json`` pins them."""
+    sim = {k: v for k, v in stats.items() if not k.startswith("app/")}
+    return hashlib.sha256(
+        json.dumps(sim, sort_keys=True).encode()).hexdigest()[:16]
+
+
+def drain_until_dry(root, endpoints: Sequence, burst: int,
+                    on_read: Optional[Callable[[int, int], None]] = None
+                    ) -> int:
+    """Non-blocking reads of up to ``burst`` messages on every endpoint,
+    then ``root.run_all()``, repeated until a pass reads nothing. Returns
+    the messages read; ``on_read(i, n)`` sees each read of ``n`` messages
+    by ``endpoints[i]``.
+
+    One pass is not enough: shared rings pool packets per process while
+    fast-forward credit is per connection, so one endpoint's read can take
+    a sibling's ring share, and a later pass picks up the remainder. Ring
+    packets and fluid credit look the same to the reader."""
+    consumed = [0]
+
+    def _reader(i: int):
+        def _cb(sig):
+            if sig.ok:
+                consumed[0] += len(sig.value)
+                if on_read is not None:
+                    on_read(i, len(sig.value))
+        return _cb
+
+    while True:
+        before = consumed[0]
+        for i, ep in enumerate(endpoints):
+            ep.recv_burst(burst, blocking=False).add_callback(_reader(i))
+        root.run_all()
+        if consumed[0] == before:
+            return consumed[0]
 
 
 def copy_summary(ledger: CopyLedger) -> Dict[str, int]:

@@ -42,7 +42,7 @@ from ..net.addresses import IPv4Address
 from ..net.flow import FiveTuple
 from ..net.headers import PROTO_UDP
 from ..sim.stats import parity, snapshot
-from .common import Row, fmt_table
+from .common import Row, drain_until_dry, fmt_table
 
 VIP_IP = IPv4Address.parse("10.0.9.9")
 
@@ -176,28 +176,6 @@ def _send_round(rack: Rack, cli_eps, per_conn: int) -> Tuple[int, int]:
     return i, i * SEND_GAP_NS
 
 
-def _drain_backends(rack: Rack, srv_eps, per_flow: Dict[int, int]) -> int:
-    """Non-blocking drain of every backend listener until the cluster is
-    dry; tallies per service flow regardless of which machine served it."""
-    consumed = [0]
-
-    def _count(flow_idx: int):
-        def _cb(sig):
-            if sig.ok:
-                consumed[0] += len(sig.value)
-                per_flow[flow_idx] = per_flow.get(flow_idx, 0) + len(sig.value)
-        return _cb
-
-    while True:
-        before = consumed[0]
-        for eps in srv_eps.values():
-            for i, ep in enumerate(eps):
-                ep.recv_burst(64, blocking=False).add_callback(_count(i))
-        rack.run_all()
-        if consumed[0] == before:
-            return consumed[0]
-
-
 def cluster_totals(stats: Dict[str, float],
                    flow0: FiveTuple) -> Dict[str, float]:
     """The :data:`CONSERVED` totals of one rack snapshot."""
@@ -223,6 +201,11 @@ def run_leg(n_backends: int, n_flows: int, rounds: int, costs: CostModel,
     source = rack.balancer.backend_for(flow0)
     target = names[(names.index(source) + 1) % len(names)]
     per_flow: Dict[int, int] = {}
+    readers = [ep for eps in srv_eps.values() for ep in eps]
+
+    def _tally(i: int, n: int) -> None:
+        per_flow[i % n_flows] = per_flow.get(i % n_flows, 0) + n
+
     delivered = 0
     migration = []
     t0 = time.perf_counter()
@@ -232,7 +215,8 @@ def run_leg(n_backends: int, n_flows: int, rounds: int, costs: CostModel,
             rack.sim.at(rack.sim.now + 1_000 + window // 2,
                         lambda: migration.append(rack.migrate(flow0, target)))
         rack.run_all()
-        delivered += _drain_backends(rack, srv_eps, per_flow)
+        # Tally per service flow, whichever machine served it.
+        delivered += drain_until_dry(rack, readers, 64, _tally)
     wall = time.perf_counter() - t0
     stats = snapshot(rack)
     stats["app/delivered"] = float(delivered)

@@ -12,6 +12,7 @@ regenerates the "measured" numbers recorded there.
 from __future__ import annotations
 
 import sys
+from functools import partial
 
 from . import e1_dataplane_overhead as e1
 from . import e2_interposition_placement as e2
@@ -31,10 +32,8 @@ from . import e15_flow_fastpath as e15
 from . import e16_latency_anatomy as e16
 from . import e17_multi_tenant as e17
 from . import e18_cluster as e18
-from . import e21_fidelity_crossover as e21
-from . import e22_group_fastforward as e22
-from . import e23_rack_fastforward as e23
 from . import f1_architecture as f1
+from . import fidelity
 from . import s1_tail_latency as s1
 from .common import fmt_table
 
@@ -57,9 +56,12 @@ SECTIONS = (
     ("E16 — latency anatomy: attributed stage decomposition", e16.main),
     ("E17 — multi-tenant isolation: hog vs victims, per-tenant scheduler", e17.main),
     ("E18 — cluster scale-out: in-switch L4 balancer + live flow migration", e18.main),
-    ("E21 — fidelity crossover: hybrid fast-forward vs packet-exact", e21.main),
-    ("E22 — group fast-forward: one epoch for many flows, TX absorbed", e22.main),
-    ("E23 — rack fast-forward: end-to-end fluid epochs across the switch", e23.main),
+    ("E21 — fidelity crossover: hybrid fast-forward vs packet-exact",
+     partial(fidelity.main, fidelity.E21)),
+    ("E22 — group fast-forward: one epoch for many flows, TX absorbed",
+     partial(fidelity.main, fidelity.E22)),
+    ("E23 — rack fast-forward: end-to-end fluid epochs across the switch",
+     partial(fidelity.main, fidelity.E23)),
     ("F1 — Figure 1 architecture arrows", f1.main),
     ("S1 — supplementary: RPC tail latency", s1.main),
 )

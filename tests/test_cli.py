@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.__main__ import main
+from repro.__main__ import _experiment_mains, main
 
 
 class TestCli:
@@ -29,6 +29,12 @@ class TestCli:
         assert main(["f1"]) == 0
         out = capsys.readouterr().out
         assert "Figure-1 arrows verified" in out
+
+    def test_fidelity_experiments_resolve(self):
+        # Resolved, not run: each one takes minutes at its default scale.
+        mains = _experiment_mains()
+        for name in ("e21", "e22", "e23"):
+            assert callable(mains[name]), name
 
     def test_matrix(self, capsys):
         assert main(["matrix"]) == 0

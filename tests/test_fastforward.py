@@ -7,6 +7,10 @@ its own test against the real KOPI plane; the controller's promotion /
 absorption / flush mechanics are unit-tested against a stub plane.
 """
 
+import json
+from dataclasses import replace
+from pathlib import Path
+
 import pytest
 
 from repro.config import DEFAULT_COSTS
@@ -18,6 +22,7 @@ from repro.dataplanes import (
     SidecarDataplane,
 )
 from repro.dataplanes.testbed import HOST_IP, HOST_MAC, PEER_IP, PEER_MAC, Testbed
+from repro.experiments import fidelity
 from repro.kernel.netfilter import CHAIN_INPUT, DROP, NetfilterRule
 from repro.net.flow import FiveTuple
 from repro.net.headers import PROTO_UDP
@@ -448,15 +453,29 @@ class TestRxTemplate:
 # ---------------------------------------------------------------------------
 
 
-class TestParitySmoke:
-    def test_tiny_parity_run_matches_exactly(self):
-        from repro.experiments.e21_fidelity_crossover import run_parity
+GOLDEN = Path(__file__).resolve().parent.parent / "benchmarks" / "golden.json"
 
-        out = run_parity(n_conns=16, packets_total=256)
-        assert out["ok"], out["rows"]
+
+class TestParitySmoke:
+    @pytest.mark.parametrize("name", sorted(fidelity.SPECS))
+    def test_tiny_parity_run_matches_exactly(self, name):
+        """Each fidelity spec at tiny scale: hybrid == exact with zero
+        error, and both legs reproduce the snapshot digests, event counts
+        and application counts pinned in ``benchmarks/golden.json``."""
+        want = json.loads(GOLDEN.read_text())["snapshots"]["fidelity"][name]
+        want = want["tiny"]
+        spec = replace(fidelity.SPECS[name], conns=want["conns"],
+                       rounds=want["rounds"])
+        out = fidelity.run_parity(spec)
+        assert out["ok"], out["failed"]
+        assert out["max_rel_err"] == 0.0
         assert out["fluid_fraction"] > 0  # the hybrid leg actually went fluid
-        for row in out["rows"]:
-            assert row["ok"], row
+        if spec.grouped:
+            assert out["grouped"], out["ff"]
+        if spec.rack:
+            assert out["bound_ok"], out["ff"]
+        for leg in ("exact", "hybrid"):
+            assert fidelity.pinned(out[leg]) == want[leg], leg
 
 
 # ---------------------------------------------------------------------------
