@@ -36,8 +36,11 @@ from ..nic.notification import (
     NotificationQueue,
 )
 from ..nic.rings import DescriptorRing, RingPair
-from ..overlay.compiler import compile_classifier, compile_filter_rules, compile_policer
-from ..sim import MetricSet, Signal
+from ..overlay.assembler import assemble
+from ..overlay.compiler import compile_classifier, compile_policer, filter_rules_asm
+from ..overlay.isa import Program
+from ..overlay.verifier import verify
+from ..sim import AllOf, MetricSet, Signal
 from ..trace import STAGE_SCHED_WAKE, STAGE_SYSCALL
 from ..dataplanes.base import QosConfig
 from .connection import CONN_MODE_PER_CONN, CONN_MODE_SHARED, NormanConnection
@@ -82,6 +85,9 @@ class ControlPlane:
         self._hot_pairs: Dict[int, "list"] = {}
         self._qos: Optional[QosConfig] = None
         self._police: Dict[str, "tuple[int, int]"] = {}  # cgroup -> (rate, burst)
+        #: chain -> (assembly text, Program) of the filter program last
+        #: built for it (:meth:`_filter_program`).
+        self._filter_programs: Dict[str, Tuple[str, Program]] = {}
         self._monitor_mode: Dict[int, "tuple[str, int]"] = {}  # pid -> (mode, interval)
         self.monitor_core_id = 0
         """Core the kernel's notification monitor runs on (polled mode)."""
@@ -333,22 +339,27 @@ class ControlPlane:
         return self.sync_filters()
 
     def sync_filters(self) -> Signal:
-        """Recompile both chains and load them into the overlay slots."""
-        rx_prog = compile_filter_rules(
-            self.kernel.filters.rules(CHAIN_INPUT),
-            resolve_conns=self.resolve_owner_rule,
-            name="kopi.filter_rx",
-        )
-        tx_prog = compile_filter_rules(
-            self.kernel.filters.rules(CHAIN_OUTPUT),
-            resolve_conns=self.resolve_owner_rule,
-            name="kopi.filter_tx",
-        )
+        """Recompile both chains and load them into the overlay slots.
+
+        Both slots load (and the commit lands) on every sync, but a chain
+        is assembled again only when its generated text differs from the
+        text of the program it last loaded: the frozen :class:`Program` is
+        reused, and the fabric does not re-verify a program it verified."""
+        rx_prog = self._filter_program(CHAIN_INPUT, "kopi.filter_rx")
+        tx_prog = self._filter_program(CHAIN_OUTPUT, "kopi.filter_tx")
         a = self.nic.fpga.load_overlay(SLOT_FILTER_RX, rx_prog)
         b = self.nic.fpga.load_overlay(SLOT_FILTER_TX, tx_prog)
-        from ..sim import AllOf
-
         return self.overlay_point.begin_commit(AllOf([a, b], name="sync_filters"))
+
+    def _filter_program(self, chain: str, name: str) -> Program:
+        rules = self.kernel.filters.rules(chain)
+        text = filter_rules_asm(rules, resolve_conns=self.resolve_owner_rule)
+        last = self._filter_programs.get(chain)
+        if last is not None and last[0] == text:
+            return last[1]
+        prog = assemble(text, n_counters=len(rules), name=name)
+        self._filter_programs[chain] = (text, prog)
+        return prog
 
     def sync_rule_counters(self) -> None:
         """Copy overlay hit counters back onto the kernel rule objects so
@@ -501,12 +512,9 @@ class ControlPlane:
         same slot, as on real hardware), is verified before load, and a
         rejected program leaves the previous one running untouched.
         """
-        from ..overlay.assembler import assemble
-        from ..overlay.verifier import verify as _verify
-
         prog = assemble(asm_text, n_counters=n_counters, n_meters=n_meters,
                         name="custom_rx")
-        _verify(prog)
+        verify(prog)
         return self.overlay_point.begin_commit(
             self.nic.fpga.load_overlay(SLOT_FILTER_RX, prog)
         )

@@ -13,6 +13,7 @@ from typing import List, Optional, Sequence, Tuple
 
 from ..errors import EndpointClosed, UnsupportedOperation, WouldBlock
 from ..net.addresses import IPv4Address
+from ..net.flow import FiveTuple
 from ..net.headers import PROTO_TCP
 from ..net.packet import Packet, UdpHeaderMemo, make_tcp, make_udp
 from ..sim import Signal
@@ -31,6 +32,9 @@ class NormanEndpoint(Endpoint):
         self._os = norman
         self.conn = conn
         self._udp_headers: UdpHeaderMemo = {}
+        #: The five-tuple of the last fast-forward send lookup, so steady
+        #: sends to one peer reuse one key.
+        self._ff_key: Optional[FiveTuple] = None
 
     @property
     def _core(self):
@@ -71,12 +75,12 @@ class NormanEndpoint(Endpoint):
             # promoted flow is absorbed here — it never builds a Packet,
             # never enters the ring, fires zero simulator events. The
             # epoch flush replays its full chain later.
-            from ..net.flow import FiveTuple
-
-            key = FiveTuple(
-                proto=self.proto, src_ip=self._os.kernel.host_ip,
-                sport=self.port, dst_ip=dst[0], dport=dst[1],
-            )
+            key = self._ff_key
+            if key is None or key.dst_ip != dst[0] or key.dport != dst[1]:
+                key = self._ff_key = FiveTuple(
+                    proto=self.proto, src_ip=self._os.kernel.host_ip,
+                    sport=self.port, dst_ip=dst[0], dport=dst[1],
+                )
             absorbed = ff.absorb_send(key, payload_lens)
             if absorbed:
                 done = Signal("norman.send_burst")

@@ -28,12 +28,14 @@ from ..kernel.qdisc import DEFAULT_CLASS, DrrQdisc, PfifoQdisc, Qdisc
 from ..kernel.qdisc_runner import PacedQdiscRunner
 from ..net.link import Link
 from ..net.packet import Packet
+from ..nic.notification import KIND_RX_READY, KIND_TX_DRAINED
 from ..nic.smartnic.fpga import Bitstream, FpgaFabric
 from ..nic.smartnic.sram import SramAllocator
 from ..nic.tenant_sched import WeightedFairClock
 from ..nic.steering import SteeringTable
 from ..overlay.isa import VERDICT_DROP
 from ..sim import MetricSet
+from ..sim.fastforward import REASON_QDISC
 from ..trace import (
     STAGE_DMA,
     STAGE_FASTPATH,
@@ -171,7 +173,7 @@ class KopiNic:
             # Hybrid fidelity: a promoted (fluid) flow absorbs the packet —
             # counted into the pending epoch, not simulated. Every counter
             # and cost this exact path would have moved is replayed by the
-            # profile's deliver closure at flush. A shape mismatch inside
+            # profile's deliver record at flush. A shape mismatch inside
             # absorb_packet demotes and falls through to exact simulation.
             aft = pkt.five_tuple
             if aft is not None and ff.absorb_packet(aft, pkt.wire_len):
@@ -348,8 +350,6 @@ class KopiNic:
             if ff is not None and pkt.five_tuple is not None:
                 # A full RX ring means delivery is now load-dependent
                 # (packets are being lost) — a queue-occupancy boundary.
-                from ..sim.fastforward import REASON_QDISC
-
                 ff.demote(pkt.five_tuple, REASON_QDISC)
             if pkt.meta.trace is not None:
                 pkt.meta.trace.close(self.sim.now)
@@ -365,8 +365,6 @@ class KopiNic:
                 # on the same wake, so no second notification is raised.
                 self.metrics.counter("rx_notify_coalesced").inc()
                 return
-            from ..nic.notification import KIND_RX_READY
-
             self.notify(conn, KIND_RX_READY)
 
     # --- TX path -------------------------------------------------------------------
@@ -501,8 +499,6 @@ class KopiNic:
         else:
             self._draining.discard(conn.conn_id)
             if self.notify is not None:
-                from ..nic.notification import KIND_TX_DRAINED
-
                 self.notify(conn, KIND_TX_DRAINED)
 
     def _drain_tx_burst(self, conn: NormanConnection) -> None:
@@ -567,8 +563,6 @@ class KopiNic:
             self._draining.discard(conn.conn_id)
             drained = self._tx_drained.pop(conn.conn_id, len(pkts))
             if self.notify is not None:
-                from ..nic.notification import KIND_TX_DRAINED
-
                 # One notification covers every packet this doorbell session
                 # drained — the amortization the Notification.count records.
                 self.notify(conn, KIND_TX_DRAINED, drained)

@@ -16,17 +16,30 @@ from __future__ import annotations
 
 from typing import Dict, List, Optional, Tuple
 
+from .. import units
 from ..config import CostModel
 from ..errors import SimulationError
+from ..host.copies import LAYER_DMA, LAYER_DMA_DIRECT
 from ..host.machine import Machine
 from ..interpose import InterpositionPoint
+from ..interpose.fastpath import CHAIN_KOPI_RX, CHAIN_KOPI_TX
 from ..kernel.kernel import Kernel
 from ..kernel.netfilter import NetfilterRule
 from ..kernel.qdisc import DEFAULT_CLASS
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.link import Link
 from ..net.packet import Packet
-from ..sim import Signal
+from ..nic.notification import KIND_RX_READY, KIND_TX_DRAINED
+from ..overlay.isa import VERDICT_DROP
+from ..sim import FlowProfile, Signal
+from ..trace import (
+    STAGE_COHERENCE,
+    STAGE_DMA,
+    STAGE_FASTPATH,
+    STAGE_NIC_PIPELINE,
+    STAGE_RING,
+    STAGE_WIRE,
+)
 from ..dataplanes.base import (
     CaptureSession,
     Dataplane,
@@ -36,7 +49,7 @@ from ..dataplanes.base import (
 )
 from .control_plane import ControlPlane
 from .library import NormanEndpoint
-from .nic_dataplane import KOPI_BITSTREAM, KopiNic
+from .nic_dataplane import KOPI_BITSTREAM, SLOT_POLICER, KopiNic
 from .sniffer import Sniffer
 
 
@@ -204,8 +217,6 @@ class NormanOS(Dataplane):
         entry = fp.peek(chain, flow)
         if entry is None or entry.conn_id is None:
             return None, None
-        from ..overlay.isa import VERDICT_DROP
-
         if entry.verdict == VERDICT_DROP:
             return None, None
         if entry.qdisc_class is not None:
@@ -248,8 +259,6 @@ class NormanOS(Dataplane):
         overlay filter + conntrack attach) is live in the flow cache, it
         delivers to a healthy NIC-resident connection, and
         :meth:`_ff_steady` holds."""
-        from ..interpose.fastpath import CHAIN_KOPI_RX
-
         _entry, conn = self._ff_conn(CHAIN_KOPI_RX, flow)
         return conn is not None and self._ff_steady(conn)
 
@@ -257,72 +266,88 @@ class NormanOS(Dataplane):
         """Freeze the steady-state per-packet shape: the fixed NIC pipeline
         and flow-cache hit (hardware time), then the library's descriptor
         consume and analytic memory read (CPU time on the owner's core).
-        The deliver closure replays every counter the exact path moves —
-        NIC meters, cache hit/skip counters, the cached conntrack entry,
-        the DMA-direct copy ledger, and receive credit + notification."""
-        from ..host.copies import LAYER_DMA_DIRECT
-        from ..interpose.fastpath import CHAIN_KOPI_RX
-        from ..nic.notification import KIND_RX_READY
-        from ..sim.fastforward import FlowProfile
-        from ..trace import (
-            STAGE_COHERENCE,
-            STAGE_FASTPATH,
-            STAGE_NIC_PIPELINE,
-            STAGE_RING,
-        )
-
+        The :class:`KopiRxReplay` record replays every counter the exact
+        path moves — NIC meters, cache hit/skip counters, the cached
+        conntrack entry, the DMA-direct copy ledger, and receive credit +
+        notification."""
         entry, conn = self._ff_conn(CHAIN_KOPI_RX, flow)
         if conn is None:
             return None
         machine = self.machine
-        fp = machine.fastpath
         costs = self.costs
-        wire_len = pkt.wire_len
-        payload_len = pkt.payload_len
+        nic = self.nic
         # Same line count the delivery path will stamp on the packet
         # (pkt.meta.notes["lines"] is not attached yet on the RX hot path).
-        n_lines = min(self.nic._lines_for(pkt), conn.rings.rx.line_count)
+        n_lines = min(nic._lines_for(pkt), conn.rings.rx.line_count)
         read_ns = machine.ddio_model.read_cost_ns(
             self.control.active_hot_bytes(), n_lines)
         spans = (
-            (STAGE_NIC_PIPELINE, self.nic._fixed_latency(), False, "rx_pipeline"),
-            (STAGE_FASTPATH, fp.hit_ns, False, "rx_flow_cache"),
+            (STAGE_NIC_PIPELINE, nic._fixed_latency(), False, "rx_pipeline"),
+            (STAGE_FASTPATH, machine.fastpath.hit_ns, False, "rx_flow_cache"),
             (STAGE_RING, costs.bypass_rx_pkt_ns, True, "rx_desc"),
             (STAGE_COHERENCE, read_ns, True, "mem_read"),
         )
-        points = entry.points
-        ct_entry = entry.ct_entry
-        ft = flow
-        nic = self.nic
-        src_ip, sport = ft.src_ip, ft.sport
-        # Metric objects are stable for the machine's lifetime — resolve
-        # them once at profile capture, not per epoch.
-        rx_pkts = nic.metrics.counter("rx_pkts")
-        rx_bytes = nic.metrics.meter("rx_bytes")
-
-        def deliver(n: int) -> None:
-            now = machine.sim.now
-            rx_pkts.inc(n)
-            rx_bytes.record(now, n * wire_len)
-            fp.bulk_hit(CHAIN_KOPI_RX, ft, None, n, points=points)
-            if nic.conntrack is not None and ct_entry is not None:
-                ct_entry.packets += n
-                ct_entry.bytes += n * wire_len
-                ct_entry.last_seen_ns = now
-                fp.note_skipped("conntrack", n)
-            machine.copies.charge(LAYER_DMA_DIRECT, n * wire_len, 0, ops=n)
-            conn.rx_packets += n
-            conn.fluid_rx.append([n, payload_len, src_ip, sport])
-            if conn.notify_rx and nic.notify is not None:
-                nic.notify(conn, KIND_RX_READY, n)
-
         return FlowProfile(
-            spans, core_id=conn.proc.core_id, wire_len=wire_len,
-            payload_len=payload_len, src_ip=src_ip, sport=sport,
-            deliver=deliver, conn_id=conn.conn_id, versions=entry.versions,
+            spans, core_id=conn.proc.core_id, wire_len=pkt.wire_len,
+            payload_len=pkt.payload_len, src_ip=flow.src_ip, sport=flow.sport,
+            deliver=KopiRxReplay(self, flow, pkt, entry, conn),
+            conn_id=conn.conn_id, versions=entry.versions,
             tenant_tid=(machine.tenants.resolve(conn.proc).tid
                         if costs.tenants else None),
         )
+
+
+class KopiRxReplay:
+    """``deliver(n)`` of one promoted KOPI RX flow: N packets' NIC meters,
+    verdict-cache hit/skip counters, cached conntrack entry, DMA-direct
+    copy ledger, receive credit and notification.
+
+    A slotted record rather than a closure, so a promoted flow keeps one
+    garbage-collected object here instead of a function, its cell tuple
+    and a cell per captured name. Metric objects are stable for the
+    machine's lifetime, so they are resolved once, at capture."""
+
+    __slots__ = ("machine", "nic", "fp", "rx_pkts", "rx_bytes", "flow",
+                 "points", "ct_entry", "conn", "wire_len", "payload_len",
+                 "src_ip", "sport")
+
+    def __init__(self, os: NormanOS, flow, pkt, entry, conn):
+        nic = os.nic
+        self.machine = os.machine
+        self.nic = nic
+        self.fp = os.machine.fastpath
+        self.rx_pkts = nic.metrics.counter("rx_pkts")
+        self.rx_bytes = nic.metrics.meter("rx_bytes")
+        self.flow = flow
+        self.points = entry.points
+        self.ct_entry = entry.ct_entry
+        self.conn = conn
+        self.wire_len = pkt.wire_len
+        self.payload_len = pkt.payload_len
+        self.src_ip = flow.src_ip
+        self.sport = flow.sport
+
+    def __call__(self, n: int) -> None:
+        machine = self.machine
+        nic = self.nic
+        fp = self.fp
+        conn = self.conn
+        ct_entry = self.ct_entry
+        nbytes = n * self.wire_len
+        now = machine.sim.now
+        self.rx_pkts.inc(n)
+        self.rx_bytes.record(now, nbytes)
+        fp.bulk_hit(CHAIN_KOPI_RX, self.flow, None, n, points=self.points)
+        if nic.conntrack is not None and ct_entry is not None:
+            ct_entry.packets += n
+            ct_entry.bytes += nbytes
+            ct_entry.last_seen_ns = now
+            fp.note_skipped("conntrack", n)
+        machine.copies.charge(LAYER_DMA_DIRECT, nbytes, 0, ops=n)
+        conn.rx_packets += n
+        conn.fluid_rx.append([n, self.payload_len, self.src_ip, self.sport])
+        if conn.notify_rx and nic.notify is not None:
+            nic.notify(conn, KIND_RX_READY, n)
 
 
 class KopiTxFastForward:
@@ -359,9 +384,6 @@ class KopiTxFastForward:
         backlog (zero queue residency is part of the frozen profile). The
         zero-backlog check also makes the per-tenant DRR work-conserving
         FIFO for the frozen shape."""
-        from ..interpose.fastpath import CHAIN_KOPI_TX
-        from .nic_dataplane import SLOT_POLICER
-
         os_ = self._os
         _entry, conn = os_._ff_conn(CHAIN_KOPI_TX, flow)
         if conn is None or not os_._ff_steady(conn):
@@ -390,84 +412,98 @@ class KopiTxFastForward:
         """Freeze the steady-state per-send shape of a single-packet burst:
         descriptor post + doorbell MMIO (CPU on the owner's core), PCIe
         descriptor fetch, TX flow-cache hit, the fixed pipeline, and the
-        uncontended wire. The deliver closure replays every counter the
-        exact path moves — connection/NIC/DMA/ledger counters, the cached
-        conntrack entry, cache hits, the qdisc's zero-residency transit,
-        the egress link, and the peer's bulk receive."""
-        from .. import units
-        from ..host.copies import LAYER_DMA
-        from ..interpose.fastpath import CHAIN_KOPI_TX
-        from ..nic.notification import KIND_TX_DRAINED
-        from ..sim.fastforward import FlowProfile
-        from ..trace import (
-            STAGE_DMA,
-            STAGE_FASTPATH,
-            STAGE_NIC_PIPELINE,
-            STAGE_RING,
-            STAGE_WIRE,
-        )
-
-        entry, conn = self._os._ff_conn(CHAIN_KOPI_TX, flow)
+        uncontended wire. The :class:`KopiTxReplay` record replays every
+        counter the exact path moves — connection/NIC/DMA/ledger counters,
+        the cached conntrack entry, cache hits, the qdisc's zero-residency
+        transit, the egress link, and the peer's bulk receive."""
+        os_ = self._os
+        entry, conn = os_._ff_conn(CHAIN_KOPI_TX, flow)
         if conn is None:
             return None
-        os_ = self._os
         machine = os_.machine
         nic = os_.nic
-        fp = machine.fastpath
         costs = os_.costs
         wire_len = pkt.wire_len
-        payload_len = pkt.payload_len
         egress = nic.egress
-        pcie_ser = units.transmit_time_ns(wire_len, costs.pcie_bandwidth_bps)
         wire_ns = (units.transmit_time_ns(wire_len, egress.rate_bps)
                    + egress.propagation_ns)
         spans = (
             (STAGE_RING, costs.bypass_tx_pkt_ns, True, "tx_desc"),
             (STAGE_DMA, costs.mmio_write_ns, True, "doorbell"),
             (STAGE_DMA, costs.pcie_dma_latency_ns, False, "desc_fetch"),
-            (STAGE_FASTPATH, fp.hit_ns, False, "tx_flow_cache"),
+            (STAGE_FASTPATH, machine.fastpath.hit_ns, False, "tx_flow_cache"),
             (STAGE_NIC_PIPELINE, nic._fixed_latency(), False, "tx_pipeline"),
             (STAGE_WIRE, wire_ns, False, egress.name),
         )
-        points = entry.points
-        ct_entry = entry.ct_entry
-        ft = flow
-        dport = ft.dport
-        # The frame's L2 destination rides along on fluid sends so the
-        # switch's fluid fast path can resolve the learned port without
-        # materializing frames (single-host links ignore it).
-        eth_dst = pkt.eth.dst
-        # Metric objects are stable for the machine's lifetime — resolve
-        # them once at profile capture, not per epoch.
-        mmio_writes = machine.dma.metrics.counter("mmio_writes")
-        tx_pkts = nic.metrics.counter("tx_pkts")
-        tx_bytes = nic.metrics.meter("tx_bytes")
-
-        def deliver(n: int) -> None:
-            now = machine.sim.now
-            conn.tx_packets += n
-            # The doorbell count the absorbed sends never rang (the span
-            # carries its nanoseconds; mmio_write_cost() is not re-called
-            # because pricing and counting are fused there).
-            mmio_writes.inc(n)
-            machine.copies.charge(LAYER_DMA, n * wire_len, n * pcie_ser, ops=n)
-            fp.bulk_hit(CHAIN_KOPI_TX, ft, None, n, points=points)
-            if nic.conntrack is not None and ct_entry is not None:
-                ct_entry.packets += n
-                ct_entry.bytes += n * wire_len
-                ct_entry.last_seen_ns = now
-                fp.note_skipped("conntrack", n)
-            nic.scheduler.note_fluid(n)
-            tx_pkts.inc(n)
-            tx_bytes.record(now, n * wire_len)
-            egress.send_fluid(n, wire_len, dport, ft, eth_dst)
-            if nic.notify is not None:
-                nic.notify(conn, KIND_TX_DRAINED, n)
-
         return FlowProfile(
             spans, core_id=conn.proc.core_id, wire_len=wire_len,
-            payload_len=payload_len, src_ip=ft.src_ip, sport=ft.sport,
-            deliver=deliver, conn_id=conn.conn_id, versions=entry.versions,
+            payload_len=pkt.payload_len, src_ip=flow.src_ip, sport=flow.sport,
+            deliver=KopiTxReplay(os_, flow, pkt, entry, conn),
+            conn_id=conn.conn_id, versions=entry.versions,
             tenant_tid=(machine.tenants.resolve(conn.proc).tid
                         if costs.tenants else None),
         )
+
+
+class KopiTxReplay:
+    """``deliver(n)`` of one promoted KOPI TX flow: N sends' connection,
+    NIC, DMA and ledger counters, the cached conntrack entry, verdict-cache
+    hits, the qdisc's zero-residency transit, the egress link (and through
+    it the peer's bulk receive) and the drain notification. A slotted
+    record for the same reason as :class:`KopiRxReplay`."""
+
+    __slots__ = ("machine", "nic", "fp", "egress", "mmio_writes", "tx_pkts",
+                 "tx_bytes", "flow", "points", "ct_entry", "conn",
+                 "wire_len", "pcie_ser", "dport", "eth_dst")
+
+    def __init__(self, os: NormanOS, flow, pkt, entry, conn):
+        machine = os.machine
+        nic = os.nic
+        self.machine = machine
+        self.nic = nic
+        self.fp = machine.fastpath
+        self.egress = nic.egress
+        self.mmio_writes = machine.dma.metrics.counter("mmio_writes")
+        self.tx_pkts = nic.metrics.counter("tx_pkts")
+        self.tx_bytes = nic.metrics.meter("tx_bytes")
+        self.flow = flow
+        self.points = entry.points
+        self.ct_entry = entry.ct_entry
+        self.conn = conn
+        self.wire_len = pkt.wire_len
+        self.pcie_ser = units.transmit_time_ns(
+            pkt.wire_len, os.costs.pcie_bandwidth_bps)
+        self.dport = flow.dport
+        # The frame's L2 destination rides along on fluid sends so the
+        # switch's fluid fast path can resolve the learned port without
+        # materializing frames (single-host links ignore it).
+        self.eth_dst = pkt.eth.dst
+
+    def __call__(self, n: int) -> None:
+        machine = self.machine
+        nic = self.nic
+        fp = self.fp
+        conn = self.conn
+        ct_entry = self.ct_entry
+        wire_len = self.wire_len
+        nbytes = n * wire_len
+        now = machine.sim.now
+        conn.tx_packets += n
+        # The doorbell count the absorbed sends never rang (the span
+        # carries its nanoseconds; mmio_write_cost() is not re-called
+        # because pricing and counting are fused there).
+        self.mmio_writes.inc(n)
+        machine.copies.charge(LAYER_DMA, nbytes, n * self.pcie_ser, ops=n)
+        fp.bulk_hit(CHAIN_KOPI_TX, self.flow, None, n, points=self.points)
+        if nic.conntrack is not None and ct_entry is not None:
+            ct_entry.packets += n
+            ct_entry.bytes += nbytes
+            ct_entry.last_seen_ns = now
+            fp.note_skipped("conntrack", n)
+        nic.scheduler.note_fluid(n)
+        self.tx_pkts.inc(n)
+        self.tx_bytes.record(now, nbytes)
+        self.egress.send_fluid(n, wire_len, self.dport, self.flow,
+                               self.eth_dst)
+        if nic.notify is not None:
+            nic.notify(conn, KIND_TX_DRAINED, n)

@@ -246,8 +246,9 @@ class Dataplane:
         raise UnsupportedOperation(f"{self.name}: no fast-forward profile")
 
     def _ff_deliver(self, flow, pkt, entry, target):
-        """The ``deliver(n)`` closure replaying N packets' side effects,
-        or None when fluid epochs are charged but not delivered."""
+        """The ``deliver(n)`` callable replaying N packets' side effects
+        (a plane's slotted replay record), or None when fluid epochs are
+        charged but not delivered."""
         return None
 
     def ff_eligible(self, flow) -> bool:
@@ -282,7 +283,7 @@ class Dataplane:
         vector, and span shape) as ONE event. The trace spine gets a single
         count-weighted epoch (so the E16 taxonomy still sums exactly) and
         the shared core one bulk execute — CPU busy time is additive, so
-        coalescing is exact — while each member's ``deliver`` closure
+        coalescing is exact — while each member's ``deliver`` callable
         replays its own connection-scoped side effects (counters, credit,
         conntrack). A demoting flow's residue flush is the one-member
         call."""

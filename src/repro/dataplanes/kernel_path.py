@@ -15,13 +15,14 @@ from ..errors import UnsupportedOperation
 from ..host.machine import Machine
 from ..interpose import InterpositionPoint
 from ..kernel.kernel import Kernel
-from ..kernel.netfilter import NetfilterRule
+from ..kernel.netfilter import CHAIN_INPUT, DROP, NetfilterRule
 from ..kernel.qdisc import DEFAULT_CLASS, DrrQdisc
 from ..net.addresses import IPv4Address, MacAddress
 from ..net.link import Link
 from ..net.packet import Packet
 from ..nic.base import BasicNic
 from ..sim import Signal
+from ..trace import STAGE_FASTPATH, STAGE_NIC_PIPELINE, STAGE_PROTO
 from .base import (
     CaptureSession,
     Dataplane,
@@ -221,21 +222,19 @@ class KernelPathDataplane(Dataplane):
 
     # --- hybrid fidelity ---------------------------------------------------
     #
-    # The kernel plane fills in the Dataplane RX template, with a deliver
-    # closure that lands fluid epochs on the socket queue
-    # (``KernelNetStack.deliver_fluid`` — read-side copy costs stay exact
-    # because recv/recvmmsg charge them at read time). Promotion here
-    # happens through the controller API (exercised by the fidelity tests),
-    # not from the RX hot path, so the kernel stack never self-promotes on
-    # the multihost testbed — which is what keeps the rack gate from ever
-    # aiming a cross-machine epoch at it.
+    # The kernel plane fills in the Dataplane RX template, with a replay
+    # record (:class:`KernelRxReplay`) that lands fluid epochs on the
+    # socket queue (``KernelNetStack.deliver_fluid`` — read-side copy
+    # costs stay exact because recv/recvmmsg charge them at read time).
+    # Promotion here happens through the controller API (exercised by the
+    # fidelity tests), not from the RX hot path, so the kernel stack never
+    # self-promotes on the multihost testbed — which is what keeps the rack
+    # gate from ever aiming a cross-machine epoch at it.
 
     def _ff_target(self, flow):
         """Steady state here: the INPUT-chain verdict for (flow, owner) is
         live in the flow cache, it is not a drop, and a socket owns the
         port. (No tap may need individual packets: :meth:`_ff_capturing`.)"""
-        from ..kernel.netfilter import CHAIN_INPUT, DROP
-
         fp = self.machine.fastpath
         if fp is None:
             return None
@@ -251,8 +250,6 @@ class KernelPathDataplane(Dataplane):
         return bool(self.kernel.netstack._taps)
 
     def _ff_spans(self, sock, pkt):
-        from ..trace import STAGE_FASTPATH, STAGE_NIC_PIPELINE, STAGE_PROTO
-
         costs = self.costs
         return sock.owner.core_id, (
             (STAGE_NIC_PIPELINE, costs.nic_pipeline_ns, False, "rx_pipeline"),
@@ -262,17 +259,31 @@ class KernelPathDataplane(Dataplane):
         )
 
     def _ff_deliver(self, flow, pkt, entry, sock):
-        from ..kernel.netfilter import CHAIN_INPUT
+        return KernelRxReplay(self, flow, pkt, entry, sock)
 
-        fp = self.machine.fastpath
-        netstack = self.kernel.netstack
-        payload_len = pkt.payload_len
-        src_ip, sport = flow.src_ip, flow.sport
-        pid = sock.owner.pid
-        points = entry.points
 
-        def deliver(n: int) -> None:
-            fp.bulk_hit(CHAIN_INPUT, flow, pid, n, points=points)
-            netstack.deliver_fluid(sock, n, payload_len, src_ip, sport)
+class KernelRxReplay:
+    """``deliver(n)`` of one promoted kernel-stack RX flow: N INPUT-chain
+    verdict-cache hits, then the fluid epoch lands on the socket queue.
+    A slotted record rather than a closure: one garbage-collected object
+    per promoted flow."""
 
-        return deliver
+    __slots__ = ("fp", "netstack", "flow", "pid", "points", "sock",
+                 "payload_len", "src_ip", "sport")
+
+    def __init__(self, plane: KernelPathDataplane, flow, pkt, entry, sock):
+        self.fp = plane.machine.fastpath
+        self.netstack = plane.kernel.netstack
+        self.flow = flow
+        self.pid = sock.owner.pid
+        self.points = entry.points
+        self.sock = sock
+        self.payload_len = pkt.payload_len
+        self.src_ip = flow.src_ip
+        self.sport = flow.sport
+
+    def __call__(self, n: int) -> None:
+        self.fp.bulk_hit(CHAIN_INPUT, self.flow, self.pid, n,
+                         points=self.points)
+        self.netstack.deliver_fluid(self.sock, n, self.payload_len,
+                                    self.src_ip, self.sport)

@@ -31,6 +31,7 @@ end by :class:`~repro.sim.fastforward.RackFastForward`. Each has two legs:
 
 from __future__ import annotations
 
+import gc
 import time
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -450,6 +451,11 @@ def run_scale(spec: Spec = E21, costs: CostModel = DEFAULT_COSTS) -> Row:
     }
     if not sc.probe:
         return row
+    # Measurement hygiene: free the hybrid topology before the probe is
+    # built, so the two heaps never coexist and no full collection inside
+    # the probe's timed interval walks the hybrid one.
+    del topo, ff, sim
+    gc.collect()
 
     # Exact probe: the same scale and capacity with fast_forward off; the
     # parity traffic on a sample of the population, since the per-packet

@@ -3,7 +3,7 @@ mechanism, one commit history across every plane."""
 
 from __future__ import annotations
 
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
 from ..errors import PolicyError
 from ..sim import AllOf, Signal, Simulator
@@ -34,19 +34,29 @@ class PolicyEngine:
         #: fidelity boundary, so every fluid flow demotes to packet-exact
         #: simulation before any packet runs under the new policy.
         self.on_commit: List[Callable[[], None]] = []
+        #: :meth:`version_vector` of the current epoch and registry, or
+        #: None once a commit or a registration has made it stale.
+        self._versions: Optional[Tuple[Tuple[str, int], ...]] = None
 
     def _on_commit(self, point: InterpositionPoint) -> None:
         """Called by a point when its version advances (a commit landed).
         Failed async commits leave the old table running and do NOT bump
         the epoch, so caches built over them stay valid."""
         self.epoch += 1
+        self._versions = None
         for hook in self.on_commit:
             hook()
 
-    def version_vector(self) -> "tuple[tuple[str, int], ...]":
+    def version_vector(self) -> Tuple[Tuple[str, int], ...]:
         """The live (point name, version) pairs, sorted — the composite
-        policy version a cached fast-path entry is stamped with."""
-        return tuple(sorted((n, p.version) for n, p in self._points.items()))
+        policy version a cached fast-path entry is stamped with. One tuple
+        per policy epoch: every entry installed in the same epoch shares
+        it."""
+        versions = self._versions
+        if versions is None:
+            versions = self._versions = tuple(
+                sorted((n, p.version) for n, p in self._points.items()))
+        return versions
 
     # --- registry ----------------------------------------------------------
 
@@ -60,6 +70,7 @@ class PolicyEngine:
             name = f"{base}#{n}"
         point._bind(self, name)
         self._points[name] = point
+        self._versions = None
         return point
 
     def get(self, name: str) -> InterpositionPoint:

@@ -49,9 +49,18 @@ class OverlaySlot:
         self.costs = costs
         self.machine: Optional[OverlayMachine] = None
         self.loads = 0
+        #: The last program verified against this slot's capacity: a
+        #: program is frozen, so loading the same object again needs no
+        #: second verification.
+        self.verified: Optional[Program] = None
+
+    def verify(self, program: Program) -> None:
+        if program is not self.verified:
+            verify(program, max_instrs=self.max_instrs)
+            self.verified = program
 
     def load(self, program: Program) -> OverlayMachine:
-        verify(program, max_instrs=self.max_instrs)
+        self.verify(program)
         self.machine = OverlayMachine(program, self.costs)
         self.loads += 1
         return self.machine
@@ -148,7 +157,7 @@ class FpgaFabric:
             )
         slot = self.slots[slot_name]
         # Verify synchronously so a bad program costs nothing.
-        verify(program, max_instrs=slot.max_instrs)
+        slot.verify(program)
         done = Signal(f"{self.name}.overlay.{slot_name}")
         self.metrics.counter("overlay_loads").inc()
 

@@ -35,8 +35,19 @@ def compile_filter_rules(
     applies to (or None when the rule cannot be resolved — compilation then
     fails loudly rather than silently not enforcing).
     """
-    lines: List[str] = []
     rules = list(rules)
+    return assemble(filter_rules_asm(rules, resolve_conns),
+                    n_counters=len(rules), name=name)
+
+
+def filter_rules_asm(
+    rules: Sequence[NetfilterRule],
+    resolve_conns: Optional[ResolveConns] = None,
+) -> str:
+    """The assembly text :func:`compile_filter_rules` assembles (one
+    counter per rule) — what a caller compares to tell whether a chain's
+    program changed without assembling it again."""
+    lines: List[str] = []
     for i, rule in enumerate(rules):
         nxt = f"rule_{i + 1}" if i + 1 < len(rules) else "default"
         lines.append(f"rule_{i}:")
@@ -77,7 +88,7 @@ def compile_filter_rules(
         lines.append("    drop" if rule.verdict == DROP else "    accept")
     lines.append("default:")
     lines.append("    accept")
-    return assemble("\n".join(lines), n_counters=len(rules), name=name)
+    return "\n".join(lines)
 
 
 def compile_classifier(

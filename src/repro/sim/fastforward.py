@@ -59,6 +59,7 @@ from __future__ import annotations
 
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
+from .. import units
 from ..errors import SimulationError
 
 # Demotion reasons — the full set of fidelity boundaries.
@@ -92,14 +93,18 @@ class FlowProfile:
     span sum *by construction*, so conservation (span sums == end-to-end
     latency) holds for fluid epochs exactly as it does for packet contexts.
 
-    ``deliver`` is a plane-supplied closure ``deliver(n)`` that replicates
-    every side effect N exact packets would have had beyond time itself:
-    NIC counters, verdict-cache hit counters, conntrack byte counts, copy
-    ledger charges, receive-queue credit. ``wire_len`` pins the profile's
-    shape: a packet of any other size is a ``shape_change`` boundary.
+    ``deliver`` is any plane-supplied callable ``deliver(n)`` that
+    replicates every side effect N exact packets would have had beyond time
+    itself: NIC counters, verdict-cache hit counters, conntrack byte counts,
+    copy ledger charges, receive-queue credit. The planes supply slotted
+    replay records (one garbage-collected object per promoted flow, where a
+    closure costs a function, a cell tuple and a cell per captured name).
+    ``wire_len`` pins the profile's shape: a packet of any other size is a
+    ``shape_change`` boundary.
     ``versions`` is the chain-version-vector the verdict-cache entry was
     installed under; together with the plane and the span shape it decides
-    which :class:`FlowGroup` the flow coalesces into.
+    which :class:`FlowGroup` the flow coalesces into; once it joins one,
+    its ``spans`` and ``versions`` are the group's own tuples.
     """
 
     __slots__ = ("spans", "core_id", "wire_len", "payload_len",
@@ -160,7 +165,9 @@ class FlowGroup:
     its members, and flushes with a single ``ff_charge`` — so at
     100k+ steady flows the epoch machinery costs O(groups) queue events,
     not O(flows). Per-flow pendings are still tracked (the residue), so a
-    member can flush or demote alone without disturbing the group.
+    member can flush or demote alone without disturbing the group. Every
+    member's profile refers to the group's one ``spans`` and ``versions``
+    tuple (both are part of the key, so they are equal by construction).
     """
 
     __slots__ = ("key", "plane", "members", "pending_total", "flush_handle",
@@ -266,6 +273,8 @@ class FastForwardController:
         group = self._groups.get(gkey)
         if group is None:
             group = self._groups[gkey] = FlowGroup(gkey, plane)
+        else:
+            _plane, profile.versions, profile.spans = group.key[:3]
         group.members[key] = state
         state.group = group
 
@@ -608,7 +617,7 @@ class RackFastForward:
       extended with the receiver-side downlink wire span *before* the
       controller places the flow in a group, and the flow is recorded as a
       :class:`CrossMachineFlow`. From then on an absorbed send is the whole
-      A → switch → B packet: the TX epoch's deliver closure pushes the bulk
+      A → switch → B packet: the TX epoch's deliver record pushes the bulk
       through ``Link.send_fluid`` → ``L2Switch.forward_fluid`` →
       ``Link.send_fluid`` into the receiver's own pending epoch, moving
       link meters and switch counters exactly as N exact packets would.
@@ -683,7 +692,7 @@ class RackFastForward:
         peer = self._host_by_ip.get(key.dst_ip)
         if peer is None:  # pragma: no cover - gate guarantees a peer
             return None
-        from .. import units
+        # Lazy: repro.trace imports repro.sim (tracer -> sim.metrics).
         from ..trace import STAGE_WIRE
         wire_ns = (units.transmit_time_ns(prof.wire_len,
                                           peer.downlink.rate_bps)

@@ -24,6 +24,7 @@ from repro.config import DEFAULT_COSTS
 from repro.core.norman import NormanOS
 from repro.dataplanes.multihost import HostSpec, Rack
 from repro.errors import ConfigError, PolicyError
+from repro.experiments.common import drain_until_dry
 from repro.interpose.fastpath import CHAIN_KOPI_RX
 from repro.net import MacAddress, make_udp
 from repro.net.addresses import BROADCAST_MAC
@@ -140,24 +141,16 @@ def _send(rack, cli_eps, rounds, gap_ns=2_000):
 
 
 def _drain(rack, srv_eps):
+    """Read every server endpoint until dry. Returns the messages read and
+    a per-flow tally keyed by the flow's index in its server's list."""
+    eps = [ep for group in srv_eps.values() for ep in group]
+    flow_of = [i for group in srv_eps.values() for i in range(len(group))]
     per_flow = {}
-    got = [0]
 
-    def _cb(i):
-        def cb(sig):
-            if sig.ok:
-                got[0] += len(sig.value)
-                per_flow[i] = per_flow.get(i, 0) + len(sig.value)
-        return cb
+    def _tally(j, n):
+        per_flow[flow_of[j]] = per_flow.get(flow_of[j], 0) + n
 
-    while True:
-        before = got[0]
-        for eps in srv_eps.values():
-            for i, ep in enumerate(eps):
-                ep.recv_burst(64, blocking=False).add_callback(_cb(i))
-        rack.run_all()
-        if got[0] == before:
-            return got[0], per_flow
+    return drain_until_dry(rack, eps, 64, on_read=_tally), per_flow
 
 
 def _ct(rack, name):

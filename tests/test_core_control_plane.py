@@ -116,3 +116,35 @@ class TestCapabilityMatrix:
         text = render_matrix(matrix)
         assert "kopi" in text
         assert "port_partitioning" in text
+
+
+class TestFilterSync:
+    def test_unchanged_chain_reuses_its_verified_program(self, monkeypatch):
+        import repro.nic.smartnic.fpga as fpga_module
+        from repro.core.nic_dataplane import SLOT_FILTER_RX, SLOT_FILTER_TX
+
+        tb = Testbed(NormanOS)
+        proc = tb.spawn("app", "bob", core_id=1)
+        tb.dataplane.open_endpoint(proc, PROTO_UDP, 7000)
+        tb.run_all()
+        verified = []
+        real_verify = fpga_module.verify
+        monkeypatch.setattr(
+            fpga_module, "verify",
+            lambda prog, **kw: (verified.append(prog), real_verify(prog, **kw)))
+        fpga = tb.dataplane.nic.fpga
+        loads0 = fpga.metrics.counter("overlay_loads").value
+        for dport in (5432, 5433):
+            tb.dataplane.install_filter_rule(
+                NetfilterRule(verdict="DROP", proto=PROTO_UDP, dport=dport))
+            tb.run_all()
+        # Both slots load on every sync, as before.
+        assert fpga.metrics.counter("overlay_loads").value == loads0 + 4
+        # The rules go to OUTPUT, so the INPUT chain never changed: one
+        # program object, verified once; each new OUTPUT program is
+        # verified once, at load_overlay.
+        rx = fpga.machine(SLOT_FILTER_RX).program
+        tx = fpga.machine(SLOT_FILTER_TX).program
+        assert [p for p in verified if p is rx] == [rx]
+        assert [p for p in verified if p is tx] == [tx]
+        assert len(verified) == 3

@@ -155,6 +155,22 @@ class TestControllerUnit:
         ff.flush_all()
         assert plane.charges == [("k", 2)]
 
+    def test_group_members_share_one_spans_tuple(self):
+        _sim, ff = _controller()
+        plane = StubPlane(None)
+        for key in ("a", "b", "c"):
+            # Each profile is built from its own, equal, tuples.
+            plane.profile = FlowProfile(
+                tuple(list(_profile().spans)), core_id=0, wire_len=1_000,
+                versions=tuple([("nf", 1), ("overlay", 2)]))
+            for _ in range(3):
+                ff.note_exact(plane, key, None)
+        (group,) = ff._groups.values()
+        profiles = [state.profile for state in group.members.values()]
+        assert len(profiles) == 3
+        assert all(p.spans is group.key[2] for p in profiles)
+        assert all(p.versions is group.key[1] for p in profiles)
+
     def test_absorb_refuses_unpromoted(self):
         _sim, ff = _controller()
         assert ff.absorb_packet("nobody", 1_000) is False

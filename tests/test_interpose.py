@@ -182,6 +182,57 @@ class TestCommitContract:
         assert point.evaluated == 1_000 == point.hits
 
 
+class TestVersionVector:
+    """One vector object per policy epoch: fast-path entries installed in
+    the same epoch share it, and anything that moves a version or the
+    registry yields a new one."""
+
+    def _engine(self):
+        sim = Simulator()
+        engine = PolicyEngine(sim)
+        nf = engine.register(InterpositionPoint("nf", "kernel", "netfilter"))
+        overlay = engine.register(InterpositionPoint("overlay", "nic", "overlay"))
+        return sim, engine, nf, overlay
+
+    def test_same_object_while_nothing_changes(self):
+        _sim, engine, nf, _overlay = self._engine()
+        vv = engine.version_vector()
+        assert vv == (("nf", 0), ("overlay", 0))
+        nf.record_eval(hit=True)
+        assert engine.version_vector() is vv
+
+    def test_changes_after_record_update(self):
+        _sim, engine, nf, _overlay = self._engine()
+        vv = engine.version_vector()
+        nf.record_update()
+        assert engine.version_vector() == (("nf", 1), ("overlay", 0)) != vv
+
+    def test_changes_only_when_an_async_commit_completes(self):
+        sim, engine, _nf, overlay = self._engine()
+        vv = engine.version_vector()
+        done = Signal("load")
+        overlay.begin_commit(done)
+        assert engine.version_vector() is vv  # in flight: old epoch
+        sim.after(50_000, done.succeed)
+        sim.run_until_idle()
+        assert engine.version_vector() == (("nf", 0), ("overlay", 1))
+
+    def test_same_object_after_a_failed_async_commit(self):
+        _sim, engine, _nf, overlay = self._engine()
+        vv = engine.version_vector()
+        done = Signal("bad-load")
+        overlay.begin_commit(done)
+        done.fail(PolicyError("verifier rejected"))
+        assert engine.version_vector() is vv
+
+    def test_changes_after_register(self):
+        _sim, engine, _nf, _overlay = self._engine()
+        vv = engine.version_vector()
+        engine.register(InterpositionPoint("qdisc", "nic", "qdisc"))
+        assert engine.version_vector() == (
+            ("nf", 0), ("overlay", 0), ("qdisc", 0)) != vv
+
+
 class TestAtomicityProperty:
     """Randomized interleavings of sends and policy mutations on the kernel
     plane. Every OUTPUT evaluation stamps ``(chain, version, verdict,
